@@ -48,6 +48,47 @@ configureRankFor(Simulation &sim, BenchmarkId id,
                         reference->box.periodic(2));
 }
 
+/**
+ * Applies a native spec's shared-memory thread count, SIMD width and
+ * precision tier for one experiment and restores, on scope exit, the
+ * values that were in force before it — so experiments in a sweep do
+ * not leak configuration into each other, and a caller's own overrides
+ * survive the sweep.
+ */
+class ScopedEngineKnobs
+{
+  public:
+    explicit ScopedEngineKnobs(const ExperimentSpec &spec)
+        : spec_(spec), threads_(ThreadPool::threads())
+    {
+        if (spec_.threads > 0)
+            ThreadPool::setThreads(spec_.threads);
+        if (spec_.simdWidth >= 0)
+            simdWidth_ = setSimdWidth(spec_.simdWidth);
+        if (spec_.precision != Precision::EngineDefault)
+            precision_ = setPrecisionTier(spec_.precision);
+    }
+
+    ~ScopedEngineKnobs()
+    {
+        if (spec_.precision != Precision::EngineDefault)
+            setPrecisionTier(precision_);
+        if (spec_.simdWidth >= 0)
+            setSimdWidth(simdWidth_);
+        if (spec_.threads > 0)
+            ThreadPool::setThreads(threads_);
+    }
+
+    ScopedEngineKnobs(const ScopedEngineKnobs &) = delete;
+    ScopedEngineKnobs &operator=(const ScopedEngineKnobs &) = delete;
+
+  private:
+    const ExperimentSpec &spec_;
+    int threads_;
+    int simdWidth_ = -1;
+    Precision precision_ = Precision::EngineDefault;
+};
+
 ExperimentRecord
 runNativeSerial(const ExperimentSpec &spec)
 {
@@ -58,32 +99,12 @@ runNativeSerial(const ExperimentSpec &spec)
     if (spec.sortEvery >= 0)
         sim->setSortEvery(spec.sortEvery);
 
-    // Apply the requested shared-memory thread count, SIMD width, and
-    // precision tier for the duration of this experiment, restoring
-    // them afterwards so experiments in a sweep do not leak
-    // configuration into each other.
-    const int previousThreads = ThreadPool::threads();
-    if (spec.threads > 0)
-        ThreadPool::setThreads(spec.threads);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(spec.simdWidth);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(spec.neighLayout);
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(spec.precision);
+    const ScopedEngineKnobs knobs(spec);
     sim->setup();
 
     WallTimer wall;
     sim->run(spec.steps);
     const double elapsed = wall.seconds();
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(Precision::EngineDefault);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(-1);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(-1);
-    if (spec.threads > 0)
-        ThreadPool::setThreads(previousThreads);
 
     ExperimentRecord record;
     record.spec = spec;
@@ -119,27 +140,11 @@ runNativeRanked(const ExperimentSpec &spec)
     if (spec.rankExec >= 0)
         ranked.setExecution(spec.rankExec != 0 ? RankExecution::Concurrent
                                                : RankExecution::Sequential);
-    const int previousThreads = ThreadPool::threads();
-    if (spec.threads > 0)
-        ThreadPool::setThreads(spec.threads);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(spec.simdWidth);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(spec.neighLayout);
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(spec.precision);
+    const ScopedEngineKnobs knobs(spec);
     ranked.setup();
     WallTimer wall;
     ranked.run(spec.steps);
     const double elapsed = wall.seconds();
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(Precision::EngineDefault);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(-1);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(-1);
-    if (spec.threads > 0)
-        ThreadPool::setThreads(previousThreads);
 
     ExperimentRecord record;
     record.spec = spec;

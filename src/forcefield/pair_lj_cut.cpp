@@ -148,22 +148,6 @@ PairLJCut::dispatchWidth(Simulation &sim, const NeighborList &list)
     // full-list loop carries no Newton-scatter code at all — compiled
     // in, it inflates register pressure enough to spill the hoisted
     // constants out of the hot loop.
-    // Cluster-pair layout (clusterN >= 2) replaces the padded packing
-    // entirely for this style: the pair list stores one entry per M×N
-    // cluster pair and the traversal is always full-style, whatever
-    // flavor the plain CSR list has.
-    switch (list.clusterN) {
-      case 2:
-        return computeClusterImpl<P, 2, kSingleType>(sim, list);
-      case 4:
-        return computeClusterImpl<P, 4, kSingleType>(sim, list);
-      case 8:
-        return computeClusterImpl<P, 8, kSingleType>(sim, list);
-      case 16:
-        return computeClusterImpl<P, 16, kSingleType>(sim, list);
-      default:
-        break;
-    }
     const bool half = !list.full;
     switch (list.padWidth) {
       case 1:
@@ -499,185 +483,6 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
             kernel(begin, end, s, -1);
         });
     }
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
-}
-
-template <typename P, int W, bool kSingleType>
-void
-PairLJCut::computeClusterImpl(Simulation &sim, const NeighborList &list)
-{
-    using real = typename P::real;
-    using acc = typename P::acc;
-    constexpr bool kDoubleTier = std::is_same_v<real, double>;
-    static_assert(sizeof(Coeff) % sizeof(double) == 0);
-    [[maybe_unused]] constexpr std::uint32_t kCoeffStride =
-        sizeof(Coeff) / sizeof(double);
-
-    TraceScope trace("pair", "lj/cut");
-    TraceScope simdTrace("pair", "cluster");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    countClusterLaneUse(list);
-    if constexpr (!kDoubleTier)
-        counterAdd(Counter::PairFloatComputes);
-    resetAccumulators();
-    AtomStore &atoms = sim.atoms;
-    const double cutSq = cutoff_ * cutoff_;
-    // Full-style traversal: an owned-owned pair is visited from both
-    // of its i-clusters, an owned-ghost pair once here and once as its
-    // mirror image on the other side of the boundary — exactly the
-    // full-CSR pair multiset, so the same 1/2 factor restores totals.
-    const double pairScale = 0.5;
-
-    const std::size_t m = static_cast<std::size_t>(list.clusterM);
-    const std::size_t nic = list.clusterIAtoms.size() / m;
-
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nic, forceKernelGrain(nic));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
-
-    using D = Simd<real, W>;
-    using I = SimdIndex<W>;
-    using M = SimdMask<real, W>;
-
-    const int *type = atoms.type.data();
-    const real *coeffBase;
-    if constexpr (kDoubleTier) {
-        coeffBase = reinterpret_cast<const double *>(coeffs_.data());
-    } else {
-        refreshFloatCoeffs();
-        coeffBase = coeffsF_.data();
-    }
-    const Coeff cSingle = coeff(1, 1);
-    const Vec3 *x = atoms.x.data();
-    Vec3 *f = atoms.f.data();
-
-    // Stage j positions in the cluster slot order (the build's bin
-    // order): record k holds atom clusterJAtoms[k], so a j-cluster is
-    // W consecutive records and loads as a contiguous transpose — the
-    // layout's whole point. Sentinel slots stage the far-away pad
-    // position and fail the cutoff in every kernel below.
-    const real *xpackPtr = xpack<real>().stagePermuted(
-        atoms.x.data(), list.clusterJAtoms.data(),
-        list.clusterJAtoms.size());
-
-    pool.run(slices, [&](std::size_t sliceBegin, std::size_t sliceEnd,
-                         int s) {
-        const real *const xpk = xpackPtr;
-        const std::uint32_t *const jAtoms = list.clusterJAtoms.data();
-        const std::uint32_t *const iAtoms = list.clusterIAtoms.data();
-        const std::uint32_t *const offsets = list.clusterOffsets.data();
-        const std::uint32_t *const pairs = list.clusterPairs.data();
-        const std::uint32_t sentinel = list.sentinel;
-        const D cutSqV(static_cast<real>(cutSq));
-        const D lj1S(static_cast<real>(cSingle.lj1));
-        const D lj2S(static_cast<real>(cSingle.lj2));
-        const D lj3S(static_cast<real>(cSingle.lj3));
-        const D lj4S(static_cast<real>(cSingle.lj4));
-        const D eshS(static_cast<real>(cSingle.eshift));
-        // Same accumulation contract as computeSimdImpl: double tier
-        // keeps slice-long lane stripes, float tiers flush a per-i-row
-        // stripe into the tier's acc scalar.
-        D energyAcc(real(0));
-        D virialAcc(real(0));
-        acc energyRows = acc(0);
-        acc virialRows = acc(0);
-        for (std::size_t ic = sliceBegin; ic < sliceEnd; ++ic) {
-            const std::uint32_t pairBegin = offsets[ic];
-            const std::uint32_t pairEnd = offsets[ic + 1];
-            for (std::size_t mm = 0; mm < m; ++mm) {
-                const std::uint32_t i = iAtoms[ic * m + mm];
-                if (i == sentinel)
-                    break; // sentinels only pad the last i-cluster
-                const Vec3 xi = x[i];
-                // Broadcast in `real`: static_cast rounds exactly as
-                // the staging conversion, so i and j coordinates agree
-                // bitwise with the padded kernel's records.
-                const D xiX(static_cast<real>(xi.x));
-                const D xiY(static_cast<real>(xi.y));
-                const D xiZ(static_cast<real>(xi.z));
-                const std::uint32_t rowBase =
-                    kSingleType
-                        ? 0
-                        : static_cast<std::uint32_t>(type[i]) *
-                              static_cast<std::uint32_t>(ntypes_ + 1);
-                D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-                D rowEnergy(real(0));
-                D rowVirial(real(0));
-                D &eAcc = kDoubleTier ? energyAcc : rowEnergy;
-                D &vAcc = kDoubleTier ? virialAcc : rowVirial;
-                for (std::uint32_t p = pairBegin; p < pairEnd; ++p) {
-                    const std::uint32_t slot = pairs[p] * W;
-                    D xjX, xjY, xjZ;
-                    loadXyzRun(xpk, slot, xjX, xjY, xjZ);
-                    const D dx = xiX - xjX;
-                    const D dy = xiY - xjY;
-                    const D dz = xiZ - xjZ;
-                    const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                    // The self lane (i sits in its own j-cluster) has
-                    // r2 = 0 and must be masked by id, not distance;
-                    // other members of i's own cluster are legitimate
-                    // partners (each visits the pair from its row).
-                    const I ids = I::load(jAtoms + slot);
-                    const M mask =
-                        M::fromIndexEQ(ids, i).andnot(r2 < cutSqV);
-                    D lj1, lj2, lj3, lj4, esh;
-                    if constexpr (kSingleType) {
-                        lj1 = lj1S; lj2 = lj2S; lj3 = lj3S; lj4 = lj4S;
-                        esh = eshS;
-                    } else {
-                        const I cidx =
-                            (I::gather32(type, ids) + rowBase) *
-                            kCoeffStride;
-                        lj1 = D::gather(coeffBase, cidx);
-                        lj2 = D::gather(coeffBase, cidx + 1u);
-                        lj3 = D::gather(coeffBase, cidx + 2u);
-                        lj4 = D::gather(coeffBase, cidx + 3u);
-                        esh = D::gather(coeffBase, cidx + 4u);
-                    }
-                    const D r2inv = D(real(1)) / r2;
-                    const D r6inv = r2inv * r2inv * r2inv;
-                    // maskZero keeps the self lane's inf/nan factors
-                    // out of the live lanes, exactly like the padded
-                    // kernel's rejected lanes.
-                    const D forcelj = D::maskZero(
-                        mask, r6inv * D::fms(lj1, r6inv, lj2) * r2inv);
-                    fiX = D::fma(dx, forcelj, fiX);
-                    fiY = D::fma(dy, forcelj, fiY);
-                    fiZ = D::fma(dz, forcelj, fiZ);
-                    eAcc += D::maskZero(
-                        mask,
-                        D::fms(r6inv, D::fms(lj3, r6inv, lj4), esh));
-                    vAcc = D::fma(forcelj, r2, vAcc);
-                }
-                real rx, ry, rz;
-                sumXyz(fiX, fiY, fiZ, rx, ry, rz);
-                // Forces go only to i rows and i-clusters partition the
-                // owned atoms across slices, so these direct writes are
-                // race-free and bitwise independent of the thread count.
-                f[i].x += rx;
-                f[i].y += ry;
-                f[i].z += rz;
-                if constexpr (!kDoubleTier) {
-                    real re, rv;
-                    sumPair(rowEnergy, rowVirial, re, rv);
-                    energyRows += static_cast<acc>(re);
-                    virialRows += static_cast<acc>(rv);
-                }
-            }
-        }
-        if constexpr (kDoubleTier) {
-            energySlice[s] = pairScale * energyAcc.sum();
-            virialSlice[s] = pairScale * virialAcc.sum();
-        } else {
-            energySlice[s] = pairScale * static_cast<double>(energyRows);
-            virialSlice[s] = pairScale * static_cast<double>(virialRows);
-        }
-    });
     for (int s = 0; s < slices.count(); ++s) {
         energy_ += energySlice[s];
         virial_ += virialSlice[s];

@@ -68,14 +68,6 @@ struct ExperimentSpec
     int simdWidth = -1;
 
     /**
-     * Neighbor-list packing layout for native modes (-1 = engine
-     * default from MDBENCH_NEIGH_LAYOUT, 0 = padded CSR, 1 = cluster
-     * pairs; see setNeighLayout in md/neighbor.h). Takes effect at the
-     * run's first neighbor build.
-     */
-    int neighLayout = -1;
-
-    /**
      * Overlap the halo exchange with the interior force pass in
      * NativeRanked mode (-1 = engine default from MDBENCH_COMM_OVERLAP,
      * 0 = blocking exchange, 1 = nonblocking overlap; DESIGN.md §17).

@@ -55,28 +55,6 @@ class XPack
     }
 
     /**
-     * Restage records in a caller-chosen order: record slot k holds
-     * atom order[k]. The cluster pair kernel stages positions in the
-     * neighbor build's bin order so j-cluster loads are contiguous
-     * (loadXyzRun) instead of gathered; the payload slot is zero.
-     */
-    const T *
-    stagePermuted(const Vec3 *x, const std::uint32_t *order, std::size_t n)
-    {
-        reserve(n);
-        T *out = aligned_;
-        const double *xd = reinterpret_cast<const double *>(x);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t a = order[k];
-            out[4 * k + 0] = static_cast<T>(xd[3 * a + 0]);
-            out[4 * k + 1] = static_cast<T>(xd[3 * a + 1]);
-            out[4 * k + 2] = static_cast<T>(xd[3 * a + 2]);
-            out[4 * k + 3] = T(0);
-        }
-        return out;
-    }
-
-    /**
      * Rewrite only the w payload slots of an already-staged buffer
      * (EAM refills F'(rho) between its two radial passes). Returns the
      * record base.

@@ -6,7 +6,6 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/neigh_layout.h"
 #include "util/precision.h"
 #include "util/simd.h"
 
@@ -56,9 +55,7 @@ parseBenchOptions(int &argc, char **argv)
             matchValueFlag(argc, argv, i, "--log-level", options.logLevel,
                            consumed) ||
             matchValueFlag(argc, argv, i, "--precision",
-                           options.precision, consumed) ||
-            matchValueFlag(argc, argv, i, "--neigh-layout",
-                           options.neighLayout, consumed)) {
+                           options.precision, consumed)) {
             i += consumed;
             continue;
         }
@@ -90,13 +87,6 @@ parseBenchOptions(int &argc, char **argv)
                     "' (want double|mixed|single|default)");
         setPrecisionTier(tier);
     }
-    if (!options.neighLayout.empty()) {
-        NeighLayout layout = NeighLayout::Csr;
-        require(parseNeighLayout(options.neighLayout.c_str(), layout),
-                "invalid --neigh-layout '" + options.neighLayout +
-                    "' (want csr|cluster)");
-        setNeighLayout(static_cast<int>(layout));
-    }
     return options;
 }
 
@@ -113,9 +103,7 @@ benchOptionsUsage()
            "  --no-simd         run scalar pair kernels "
            "(overrides MDBENCH_SIMD)\n"
            "  --precision TIER  double|mixed|single|default native "
-           "compute tier (overrides MDBENCH_PRECISION)\n"
-           "  --neigh-layout L  csr|cluster neighbor packing layout "
-           "(overrides MDBENCH_NEIGH_LAYOUT)\n";
+           "compute tier (overrides MDBENCH_PRECISION)\n";
 }
 
 BenchRun::BenchRun(int &argc, char **argv, const std::string &program)

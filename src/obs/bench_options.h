@@ -25,7 +25,6 @@ struct BenchOptions
     std::string manifestPath; ///< --manifest FILE (empty = no manifest)
     std::string logLevel;     ///< --log-level LEVEL (empty = unchanged)
     std::string precision;    ///< --precision TIER (empty = unchanged)
-    std::string neighLayout;  ///< --neigh-layout NAME (empty = unchanged)
     bool help = false;        ///< --help seen
     bool noSimd = false;      ///< --no-simd seen (scalar pair kernels)
 };

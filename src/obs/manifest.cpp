@@ -7,7 +7,6 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/neigh_layout.h"
 #include "util/precision.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -85,7 +84,6 @@ RunManifest::captureRuntime()
 {
     threads_ = ThreadPool::threads();
     precision_ = precisionName(precisionTier());
-    neighLayout_ = neighLayoutName(neighLayout());
     const auto tasks = globalTaskSeconds();
     taskSeconds_.assign(tasks.begin(), tasks.end());
     counts_.resize(kNumCounters);
@@ -119,8 +117,6 @@ RunManifest::write(std::ostream &os) const
     json.key("simd").value(simdIsaName());
     json.key("precision").value(precision_.empty() ? "double"
                                                    : precision_.c_str());
-    json.key("neigh_layout")
-        .value(neighLayout_.empty() ? "csr" : neighLayout_.c_str());
     json.endObject();
 
     json.key("threads").value(threads_);

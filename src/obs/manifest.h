@@ -87,7 +87,6 @@ class RunManifest
     HostInfo host_;
     int threads_ = 0;
     std::string precision_;   ///< active tier at captureRuntime()
-    std::string neighLayout_; ///< active packing layout at captureRuntime()
     std::vector<double> taskSeconds_;   ///< kNumTasks entries
     std::vector<std::uint64_t> counts_; ///< kNumCounters entries
     std::uint64_t traceRecorded_ = 0;

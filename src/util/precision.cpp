@@ -64,10 +64,12 @@ precisionTier()
     return defaultPrecisionTier();
 }
 
-void
+Precision
 setPrecisionTier(Precision precision)
 {
+    const Precision previous = overrideTier;
     overrideTier = precision;
+    return previous;
 }
 
 } // namespace mdbench

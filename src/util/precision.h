@@ -54,9 +54,11 @@ Precision precisionTier();
 /**
  * Override the active tier for subsequent force computations and
  * neighbor packings. Pass Precision::EngineDefault to clear the
- * override and fall back to the environment default.
+ * override and fall back to the environment default. Returns the
+ * previous override (EngineDefault when none was set), so a caller can
+ * restore it.
  */
-void setPrecisionTier(Precision precision);
+Precision setPrecisionTier(Precision precision);
 
 /**
  * Kernel precision policies. `real` is the type of per-pair

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "md/velocity.h"
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
-#include "util/neigh_layout.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -278,129 +276,6 @@ TEST(Neighbor, PackingRefreshesOnWidthChange)
         EXPECT_EQ(sim->atoms.f[i].z, reference->atoms.f[i].z) << i;
     }
     setSimdWidth(-1);
-}
-
-TEST(Neighbor, PackingRefreshesOnLayoutChange)
-{
-    setSimdWidth(4);
-    auto sim = buildLJ(4);
-    sim->thermoEvery = 0;
-    sim->setup();
-    ASSERT_TRUE(sim->neighbor.list().packedFor(4));
-    ASSERT_EQ(sim->neighbor.list().clusterN, 0);
-
-    setNeighLayout(1);
-    sim->computeForces();
-    EXPECT_TRUE(sim->neighbor.list().clusterFor(4));
-    EXPECT_EQ(sim->neighbor.list().padWidth, 0);
-
-    setNeighLayout(0);
-    sim->computeForces();
-    EXPECT_TRUE(sim->neighbor.list().packedFor(4));
-    EXPECT_EQ(sim->neighbor.list().clusterN, 0);
-    setNeighLayout(-1);
-    setSimdWidth(-1);
-}
-
-TEST(Neighbor, ClusterLayoutCoversEveryStoredPair)
-{
-    // Every pair of the plain CSR list must appear among the cluster
-    // pairs' lane pairs: for each stored (i, j) there must be a
-    // cluster pair linking i's i-cluster to j's j-cluster (and, for
-    // owned j, the mirror).
-    setSimdWidth(4);
-    setNeighLayout(1);
-    auto sim = buildLJ(4);
-    sim->thermoEvery = 0;
-    sim->setup();
-    const NeighborList &list = sim->neighbor.list();
-    ASSERT_TRUE(list.clusterFor(4));
-    const std::size_t m = static_cast<std::size_t>(list.clusterM);
-    const std::size_t w = static_cast<std::size_t>(list.clusterN);
-
-    // Invert the cluster memberships.
-    std::map<std::uint32_t, std::uint32_t> icOf, jcOf;
-    for (std::size_t k = 0; k < list.clusterIAtoms.size(); ++k) {
-        if (list.clusterIAtoms[k] != list.sentinel)
-            icOf[list.clusterIAtoms[k]] =
-                static_cast<std::uint32_t>(k / m);
-    }
-    for (std::size_t k = 0; k < list.clusterJAtoms.size(); ++k) {
-        if (list.clusterJAtoms[k] != list.sentinel)
-            jcOf[list.clusterJAtoms[k]] =
-                static_cast<std::uint32_t>(k / w);
-    }
-    std::set<std::pair<std::uint32_t, std::uint32_t>> stored;
-    const std::size_t nic = list.clusterOffsets.size() - 1;
-    for (std::size_t ic = 0; ic < nic; ++ic) {
-        for (std::uint32_t p = list.clusterOffsets[ic];
-             p < list.clusterOffsets[ic + 1]; ++p) {
-            stored.insert({static_cast<std::uint32_t>(ic),
-                           list.clusterPairs[p]});
-        }
-    }
-    for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-        const auto [begin, end] = list.range(i);
-        for (std::uint32_t k = begin; k < end; ++k) {
-            const std::uint32_t j = list.neighbors[k];
-            ASSERT_TRUE(stored.count(
-                {icOf.at(static_cast<std::uint32_t>(i)), jcOf.at(j)}))
-                << i << " -> " << j;
-            if (j < sim->atoms.nlocal()) {
-                ASSERT_TRUE(stored.count(
-                    {icOf.at(j), jcOf.at(static_cast<std::uint32_t>(i))}))
-                    << j << " -> " << i;
-            }
-        }
-    }
-    setNeighLayout(-1);
-    setSimdWidth(-1);
-}
-
-TEST(Neighbor, ClusterLayoutMatchesCsrPhysicsOverManySteps)
-{
-    // Same LJ melt through both packings: identical initial
-    // thermodynamics (up to summation order), and both trajectories
-    // conserve energy over 1k steps — a stale or under-covered cluster
-    // packing would show up as a conservation break at a rebuild.
-    struct RunOut
-    {
-        std::vector<Vec3> f0;
-        double e0 = 0.0, total0 = 0.0, totalEnd = 0.0;
-    };
-    auto runAt = [](int layout) {
-        setNeighLayout(layout);
-        auto sim = buildLJ(4);
-        sim->thermoEvery = 0;
-        sim->setup();
-        RunOut out;
-        out.f0.assign(sim->atoms.f.begin(),
-                      sim->atoms.f.begin() + sim->atoms.nlocal());
-        out.e0 = sim->pair->energy();
-        out.total0 = sim->potentialEnergy() + sim->kineticEnergy();
-        sim->run(1000);
-        out.totalEnd = sim->potentialEnergy() + sim->kineticEnergy();
-        setNeighLayout(-1);
-        return out;
-    };
-    const RunOut csr = runAt(0);
-    const RunOut cluster = runAt(1);
-
-    const double eScale = std::abs(csr.e0);
-    EXPECT_NEAR(cluster.e0, csr.e0, 1e-10 * eScale);
-    ASSERT_EQ(cluster.f0.size(), csr.f0.size());
-    for (std::size_t i = 0; i < csr.f0.size(); ++i) {
-        const Vec3 d = cluster.f0[i] - csr.f0[i];
-        EXPECT_LT(std::sqrt(d.normSq()),
-                  1e-9 * (1.0 + std::sqrt(csr.f0[i].normSq())))
-            << i;
-    }
-    // The melt drifts a little over 1k steps (finite dt + skin
-    // rebuilds); what matters is that the cluster run drifts like the
-    // CSR run, not worse.
-    const double scale = std::abs(csr.total0);
-    EXPECT_LT(std::abs(csr.totalEnd - csr.total0), 5e-3 * scale);
-    EXPECT_LT(std::abs(cluster.totalEnd - cluster.total0), 5e-3 * scale);
 }
 
 TEST(Neighbor, RebuildKeepsPhysicsConsistent)

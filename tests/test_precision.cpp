@@ -113,6 +113,18 @@ TEST(PrecisionApi, ExperimentSpecRestoresEngineDefault)
     spec.precision = Precision::Single;
     runExperiment(spec);
     EXPECT_EQ(precisionTier(), before);
+
+    // A caller's own overrides survive a spec that sets the same knob:
+    // the run restores the value in force before it, not the default.
+    setPrecisionTier(Precision::Mixed);
+    runExperiment(spec);
+    EXPECT_EQ(precisionTier(), Precision::Mixed);
+
+    setSimdWidth(2);
+    spec.simdWidth = 4;
+    runExperiment(spec);
+    EXPECT_EQ(simdWidth(), 2);
+    EXPECT_EQ(precisionTier(), Precision::Mixed);
 }
 
 // ----------------------------------------------------- float packing
