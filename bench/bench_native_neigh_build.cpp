@@ -1,12 +1,12 @@
 /**
  * @file
  * Throughput of the neighbor-list build pipeline (DESIGN.md §14):
- * sweeps SIMD filter width (0 = scalar oracle walk, -1 = native
- * width) × thread count × system size on the LJ melt and reports best-of-N build time, ns/atom, and the
- * bytes/atom of the packing the pair kernels traverse. The
- * `vs_scalar_serial` column is the speedup against the scalar
- * single-thread build of the same system — the number the vectorized +
- * threaded build is accountable to.
+ * sweeps SIMD filter width (1 = the scalar oracle walk, -1 = native
+ * width) × thread count × system size on the LJ melt and reports
+ * best-of-N build time, ns/atom, and the bytes/atom of the packing the
+ * pair kernels traverse. The `vs_w1_serial` column is the speedup
+ * against the width-1 single-thread build of the same system — the
+ * number the vectorized + threaded build is accountable to.
  *
  * Usage: bench_native_neigh_build [--quick] [shared flags]
  * `--quick` shrinks systems and the repeat count to smoke-test size.
@@ -47,12 +47,8 @@ formatDouble(double value, int precision)
 std::size_t
 packedListBytes(const NeighborList &list)
 {
-    if (list.padWidth >= 1) {
-        return sizeof(std::uint32_t) *
-               (list.packedOffsets.size() + list.packedNeighbors.size());
-    }
     return sizeof(std::uint32_t) *
-           (list.offsets.size() + list.neighbors.size());
+           (list.offsets.size() + list.packedSlots());
 }
 
 struct Cell
@@ -122,16 +118,16 @@ main(int argc, char **argv)
     const int previousThreads = ThreadPool::threads();
     Table table({"width", "backend", "threads", "atoms", "pairs",
                  "build_ms", "ns_per_atom", "list_bytes_per_atom",
-                 "vs_scalar_serial"});
+                 "vs_w1_serial"});
     for (const int cells : sizes) {
-        double scalarSerialMs = 0.0;
-        for (const int width : {0, -1}) {
+        double widthOneSerialMs = 0.0;
+        for (const int width : {1, -1}) {
             for (const int threads : threadCounts) {
                 const Cell cell = runCell(cells, width, threads, reps);
-                if (width == 0 && threads == 1)
-                    scalarSerialMs = cell.buildMs;
+                if (width == 1 && threads == 1)
+                    widthOneSerialMs = cell.buildMs;
                 const int resolvedWidth =
-                    width == 0 ? 0 : simdWidthFor(false);
+                    width == -1 ? simdWidthFor(false) : width;
                 table.addRow(
                     {std::to_string(resolvedWidth),
                      simdBackendName(resolvedWidth),
@@ -144,7 +140,7 @@ main(int argc, char **argv)
                                   2),
                      formatDouble(cell.bytesPerAtom, 1),
                      formatDouble(cell.buildMs > 0.0
-                                      ? scalarSerialMs / cell.buildMs
+                                      ? widthOneSerialMs / cell.buildMs
                                       : 0.0,
                                   3)});
             }

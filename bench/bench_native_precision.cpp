@@ -1,13 +1,13 @@
 /**
  * @file
  * Native precision-tier study (DESIGN.md §13): sweeps the three
- * compute tiers (double / mixed / single) over the vectorized pair
- * kernels at the scalar width and each compiled native SIMD width,
- * reporting Mpairs/s and the speedup against the double tier at its
- * own native width — the paper's Section 8 question ("what does
+ * compute tiers (double / mixed / single) over the pair kernels at
+ * width 1 (the one-lane generic oracle) and each compiled native SIMD
+ * width, reporting Mpairs/s and the speedup against the double tier at
+ * its own native width — the paper's Section 8 question ("what does
  * dropping precision buy?") asked of the native engine instead of the
- * analytical model. The lj/cut rows at each tier's native width also
- * carry accuracy columns: relative NVE energy drift over a long
+ * analytical model. The lj/cut rows at each tier's engine-default
+ * width also carry accuracy columns: relative NVE energy drift over a long
  * microcanonical run and the maximum RDF deviation from the
  * double-tier trajectory.
  *
@@ -124,11 +124,12 @@ struct Accuracy
 {
     double drift = 0.0;    ///< |E(t) - E(0)| / |E(0)| after the run
     std::vector<double> g; ///< RDF histogram at the end of the run
+    int width = 0;         ///< packed width the run used
 };
 
 /**
- * Long microcanonical LJ run at @p tier and the tier's native SIMD
- * width: the accuracy half of the study. The same deterministic
+ * Long microcanonical LJ run at @p tier and the engine-default width
+ * for that tier: the accuracy half of the study. The same deterministic
  * initial condition at every tier, so the RDF histograms are directly
  * comparable bin by bin.
  */
@@ -136,11 +137,6 @@ Accuracy
 runAccuracy(Precision tier, int cells, long steps)
 {
     setPrecisionTier(tier);
-    // Pin the tier's native width for the whole run (rebuilds repack):
-    // the engine default resolves to the plain scalar double kernels on
-    // a generic build, which would hide the float tiers entirely.
-    setSimdWidth(tier == Precision::Double ? kSimdCompiledWidth
-                                           : kSimdCompiledFloatWidth);
     auto sim = buildLJ(cells);
     sim->thermoEvery = 0;
     sim->setup();
@@ -151,7 +147,7 @@ runAccuracy(Precision tier, int cells, long steps)
     Accuracy accuracy;
     accuracy.drift = std::fabs(e1 - e0) / std::fabs(e0);
     accuracy.g = computeRdf(*sim, 2.5, 100).g;
-    setSimdWidth(-1);
+    accuracy.width = sim->neighbor.list().padWidth;
     setPrecisionTier(Precision::EngineDefault);
     return accuracy;
 }
@@ -197,11 +193,12 @@ main(int argc, char **argv)
     const std::vector<Precision> tiers = {
         Precision::Double, Precision::Mixed, Precision::Single};
 
-    // Scalar plus each compiled native width (double lanes and float
-    // lanes differ on any real ISA; deduplicate for the generic build).
-    std::vector<int> widths = {0, kSimdCompiledWidth};
-    if (kSimdCompiledFloatWidth != kSimdCompiledWidth)
-        widths.push_back(kSimdCompiledFloatWidth);
+    // Width 1 plus each compiled native width (double lanes and float
+    // lanes differ on any real ISA; the generic build has only width 1).
+    std::vector<int> widths = {1};
+    for (int native : {kSimdCompiledWidth, kSimdCompiledFloatWidth})
+        if (std::find(widths.begin(), widths.end(), native) == widths.end())
+            widths.push_back(native);
 
     // Accuracy study: one NVE run per tier at its native width; the
     // double tier's RDF is the reference the float tiers diverge from.
@@ -238,16 +235,13 @@ main(int argc, char **argv)
         }
         for (const Row &row : rows) {
             const bool floatLanes = row.tier != Precision::Double;
-            const int native = floatLanes ? kSimdCompiledFloatWidth
-                                          : kSimdCompiledWidth;
             std::string drift = "-";
             std::string rdfErr = "-";
             // The accuracy run uses the engine-default (half) list;
             // attach its columns to the matching throughput rows.
-            if (config.kernel == "lj/cut" && !config.fullList &&
-                row.width == native) {
+            if (config.kernel == "lj/cut" && !config.fullList) {
                 for (const auto &[tier, acc] : accuracy) {
-                    if (tier != row.tier)
+                    if (tier != row.tier || acc.width != row.width)
                         continue;
                     drift = formatScientific(acc.drift, 2);
                     rdfErr = formatScientific(

@@ -143,125 +143,14 @@ template <typename P>
 void
 PairEAM::dispatchWidth(Simulation &sim, const NeighborList &list)
 {
-    switch (list.padWidth) {
-      case 1: return computeSimdImpl<P, 1>(sim, list);
-      case 2: return computeSimdImpl<P, 2>(sim, list);
-      case 4: return computeSimdImpl<P, 4>(sim, list);
-      case 8: return computeSimdImpl<P, 8>(sim, list);
-      case 16: return computeSimdImpl<P, 16>(sim, list);
-      default: return computeImpl(sim, list);
-    }
-}
-
-void
-PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    ensure(!list.full, "eam requires a half neighbor list");
-    TraceScope trace("pair", "eam");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    resetAccumulators();
-    AtomStore &atoms = sim.atoms;
-    const std::size_t nlocal = atoms.nlocal();
-    const std::size_t nall = atoms.nall();
-    const double cutSq = tables_.cutoff * tables_.cutoff;
-
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
-
-    // Pass 1: host electron densities. Both sides of every pair go
-    // through the reduction scratch (see PairLJCut::compute);
-    // runAndReduce folds the per-slice partial sums into rhoBar_ in
-    // ascending slice order.
-    rhoBar_.assign(nall, 0.0);
-    const Vec3 *x = atoms.x.data();
-    rhoScratch_.runAndReduce(pool, slices, nall, rhoBar_.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int, int buffer) {
-        auto rho = rhoScratch_.acc(buffer);
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            double rhoI = 0.0;
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const double r2 = (xi - x[j]).normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const double contribution =
-                    tables_.rho.value(std::sqrt(r2));
-                rhoI += contribution;
-                rho.at(j) += contribution;
-            }
-            rho.at(i) += rhoI;
-        }
+    simdDispatchWidth(list.padWidth, [&](auto width) {
+        computeImpl<P, decltype(width)::value>(sim, list);
     });
-    sim.comm->reverseScalar(sim, rhoBar_);
-
-    // Embedding energies and derivatives for owned atoms, then share the
-    // derivatives with ghosts for the force pass. Purely per-atom.
-    fp_.assign(nall, 0.0);
-    pool.run(slices, [&](std::size_t sliceBegin, std::size_t sliceEnd,
-                         int s) {
-        double embedEnergy = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            double value;
-            double deriv;
-            tables_.embed.eval(rhoBar_[i], value, deriv);
-            embedEnergy += value;
-            fp_[i] = deriv;
-        }
-        energySlice[s] = embedEnergy;
-    });
-    for (int s = 0; s < slices.count(); ++s)
-        energy_ += energySlice[s];
-    sim.comm->forwardScalar(sim, fp_);
-
-    // Pass 2: forces from pair term + density-mediated embedding term.
-    const double *fp = fp_.data();
-    fscratch_.runAndReduce(pool, slices, nall, atoms.f.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
-        auto fw = fscratch_.acc(buffer);
-        double energy = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double r2 = delta.normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const double r = std::sqrt(r2);
-                double phiV;
-                double phiD;
-                tables_.phi.eval(r, phiV, phiD);
-                const double rhoD = tables_.rho.derivative(r);
-                // -dE/dr along the pair axis.
-                const double fScalar = -((fp[i] + fp[j]) * rhoD + phiD);
-                const Vec3 fvec = delta * (fScalar / r);
-                fi += fvec;
-                fw.at(j) -= fvec;
-                energy += phiV;
-                virial += fScalar * r;
-            }
-            fw.at(i) += fi;
-        }
-        energySlice[s] = energy;
-        virialSlice[s] = virial;
-    });
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
 }
 
 template <typename P, int W>
 void
-PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
+PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
 {
     using real = typename P::real;
     using acc = typename P::acc;
@@ -294,7 +183,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     using M = SimdMask<real, W>;
     using SpView = CubicSpline::ViewT<real>;
 
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const std::uint32_t *packedOff = list.packedOffsetData();
+    const std::uint32_t *packed = list.packedNeighborData();
     // Spline views in the tier's `real`: float tiers gather the
     // once-cast knot mirrors (spline.h viewF). The embedding table is
     // only evaluated by the double-tier W-wide pass; float tiers keep
@@ -318,16 +208,18 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     // of three hardware gathers per group — and float tiers convert
     // each coordinate exactly once per compute. The fourth lane starts
     // 0 and is refilled with F'(rho) before pass 2, folding the fpJ
-    // gather into the same transpose.
+    // gather into the same transpose. One-lane double kernels read
+    // positions and F'(rho) in place (kXRecord).
+    constexpr std::uint32_t kRec = kXRecord<real, W>;
     const std::size_t nallPad = nall + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), nullptr,
-                                               nallPad);
+    const real *xpackPtr = stagePositions<W>(xpack<real>(), atoms.x.data(),
+                                             nullptr, nallPad);
 
     // Pass 1: host electron densities, W pairs at a time. The masked
     // contribution is an exact zero for rejected and sentinel lanes, so
-    // the lane-striped row accumulator matches the scalar rhoI at W = 1
-    // and the per-lane scatter skips exactly the lanes the scalar
-    // `continue` skips. Densities always accumulate in the double
+    // at W = 1 the lane-striped row accumulator is the sequential row
+    // sum and the per-lane scatter skips exactly the out-of-cutoff
+    // pairs. Densities always accumulate in the double
     // scratch: the row sum and the per-lane scatters widen float-tier
     // contributions at the store.
     rhoBar_.assign(nall, 0.0);
@@ -337,23 +229,25 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         // Lambda-locals so the rho scatters cannot force reloads of
         // anything the inner loop keeps live (see PairLJCut).
         const real *const xpk = xpackPtr;
+        const std::uint32_t *const po = packedOff;
         const std::uint32_t *const pk = packed;
         const SpView rhoSp = rhoTab;
         const D cutSqL(static_cast<real>(cutSq));
         const D zeroL(real(0));
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const real *xiRec = xpk + 4 * i;
+            const real *xiRec = xpk + kRec * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D rhoI(real(0));
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i];
+            const std::uint32_t end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
-                D xjX, xjY, xjZ, xjW;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, xjW);
+                D xjX, xjY, xjZ;
+                loadXyzRec<kRec>(xpk, pk + k, xjX, xjY, xjZ);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
-                // fma association matches the scalar sum bitwise on the
-                // generic backend (addition order is commutative).
+                // fma association matches dx*dx + dy*dy + dz*dz bitwise
+                // on the generic backend (addition is commutative).
                 const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
                 const M mask = r2 < cutSqL;
                 const int active = mask.bits();
@@ -367,7 +261,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
                 const D contribution = D::select(mask, rhoV, zeroL);
                 rhoI += contribution;
-                // Set-bit walk ascending = the scalar ascending-k order.
+                // Set-bit walk ascending = ascending-k order.
                 alignas(64) real sc[W];
                 contribution.storeu(sc);
                 for (int rest = active; rest; rest &= rest - 1) {
@@ -433,11 +327,14 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     // rejected and sentinel lanes contribute exact zeros to fi, the
     // energies, and the virial, and are skipped by the Newton scatter.
     const double *fp = fp_.data();
-    xpackPtr = xpack<real>().setPayload(fp, nallPad);
+    if constexpr (kRec == 4)
+        xpackPtr = xpack<real>().setPayload(fp, nallPad);
     fscratch_.runAndReduce(pool, slices, nall, atoms.f.data(), [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
         auto fw = fscratch_.acc(buffer);
         const real *const xpk = xpackPtr;
+        const double *const fpl = fp;
+        const std::uint32_t *const po = packedOff;
         const std::uint32_t *const pk = packed;
         const SpView rhoSp = rhoTab;
         const SpView phiSp = phiTab;
@@ -446,25 +343,27 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const D minusOneL(real(-1));
         // Energy/virial accumulation (see PairLJCut): the double tier
         // keeps slice-long lane-striped accumulators — at W = 1 exactly
-        // the scalar kernel's running sums. Float tiers reset the lane
+        // the sequential running sums. Float tiers reset the lane
         // stripes every row and flush the row sum into `acc` scalars.
         D energyAcc(real(0));
         D virialAcc(real(0));
         acc energyRows = acc(0);
         acc virialRows = acc(0);
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const real *xiRec = xpk + 4 * i;
+            const real *xiRec = xpk + kRec * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
-            const D fpI(xiRec[3]);
+            // Cast exactly as the staged record's w slot is.
+            const D fpI(static_cast<real>(fpl[i]));
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
             D rowEnergy(real(0));
             D rowVirial(real(0));
             D &eAcc = kDoubleTier ? energyAcc : rowEnergy;
             D &vAcc = kDoubleTier ? virialAcc : rowVirial;
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i];
+            const std::uint32_t end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, fpJ;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, fpJ);
+                loadXyzwRec<kRec>(xpk, fpl, pk + k, xjX, xjY, xjZ, fpJ);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
@@ -478,8 +377,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 evalSplineSimd<real, W>(phiSp, r, phiV, phiD);
                 D rhoV, rhoD;
                 evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
-                // -x as (-1.0) * x: bitwise identical to the scalar
-                // unary minus for every finite value including zeros.
+                // -x as (-1.0) * x: bitwise identical to unary minus
+                // for every finite value including zeros.
                 const D fScalar = D::select(
                     mask, minusOneL * ((fpI + fpJ) * rhoD + phiD), zeroL);
                 const D fOverR = fScalar / r;
@@ -490,7 +389,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 fiY += fpy;
                 fiZ += fpz;
                 // Newton scatter: pair terms spilled once, set-bit walk
-                // ascending = the scalar kernel's ascending-k order.
+                // ascending = ascending-k order at every width.
                 // Float-tier pair terms widen here, once per store.
                 alignas(64) real sx[W], sy[W], sz[W];
                 fpx.storeu(sx);

@@ -96,16 +96,12 @@ class PairEAM : public PairStyle
             return xpackF_;
     }
 
-    /** The scalar two-pass kernel (the oracle for the SIMD path). */
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
     /**
-     * SIMD two-pass kernel over the padded packing (DESIGN.md §12-13):
-     * both radial passes gather-evaluate the cubic-spline tables W
-     * lanes at a time. fp_ is oversized by the pad slot so sentinel
-     * gathers stay in bounds. Mirrors computeImpl's operation order,
-     * so at W = 1 on a no-FMA build the double-tier instantiation
-     * reproduces the scalar kernel's results.
+     * The two-pass kernel, over the padded packing (DESIGN.md
+     * §12-13): both radial passes gather-evaluate the cubic-spline
+     * tables W lanes at a time. fp_ is oversized by the pad slot so
+     * sentinel gathers stay in bounds. W = 1 is the one-lane generic
+     * instantiation, the oracle the wider widths are tested against.
      *
      * P is the precision policy (util/precision.h): the radial passes
      * — the O(N * neighbors) work — run in P::real lanes over float
@@ -119,9 +115,9 @@ class PairEAM : public PairStyle
      * arrays.
      */
     template <typename P, int W>
-    void computeSimdImpl(Simulation &sim, const NeighborList &list);
+    void computeImpl(Simulation &sim, const NeighborList &list);
 
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
+    /** Width dispatch: the list's padWidth picks the instantiation. */
     template <typename P>
     void dispatchWidth(Simulation &sim, const NeighborList &list);
 };

@@ -116,136 +116,14 @@ void
 PairLJCharmmCoulLong::dispatchWidth(Simulation &sim,
                                     const NeighborList &list)
 {
-    switch (list.padWidth) {
-      case 1: return computeSimdImpl<P, 1, kSingleType>(sim, list);
-      case 2: return computeSimdImpl<P, 2, kSingleType>(sim, list);
-      case 4: return computeSimdImpl<P, 4, kSingleType>(sim, list);
-      case 8: return computeSimdImpl<P, 8, kSingleType>(sim, list);
-      case 16: return computeSimdImpl<P, 16, kSingleType>(sim, list);
-      default: return computeImpl<kSingleType>(sim, list);
-    }
-}
-
-template <bool kSingleType>
-void
-PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    ensure(!list.full, "lj/charmm/coul/long requires a half list");
-    TraceScope trace("pair", "lj/charmm/coul/long");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    if (!coeffsBuilt_)
-        buildCoeffs();
-    resetAccumulators();
-    ecoul_ = 0.0;
-    evdwl_ = 0.0;
-
-    AtomStore &atoms = sim.atoms;
-    const double qqr2e = sim.units.qqr2e;
-    const double g = sim.kspace ? sim.kspace->splittingParameter() : 0.0;
-    const double cutLJSq = ljOuter_ * ljOuter_;
-    const double cutLJInnerSq = ljInner_ * ljInner_;
-    const double cutCoulSq = coulCut_ * coulCut_;
-    const double cutAllSq = std::max(cutLJSq, cutCoulSq);
-    const double switchWidth = cutLJSq - cutLJInnerSq;
-    const double denomLJ = switchWidth * switchWidth * switchWidth;
-
-    const std::size_t nlocal = atoms.nlocal();
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> ecoulSlice{};
-    std::array<double, SliceRange::kMaxSlices> evdwlSlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
-
-    const Vec3 *x = atoms.x.data();
-    const int *type = atoms.type.data();
-    const double *q = atoms.q.data();
-    const Coeff *coeffs = coeffs_.data();
-    const Coeff cSingle = coeff(1, 1);
-    // Every force write goes through the reduction scratch (see
-    // PairLJCut::compute); runAndReduce folds the per-slice partial
-    // sums into f in ascending slice order.
-    fscratch_.runAndReduce(pool, slices, atoms.nall(), atoms.f.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
-        auto fw = fscratch_.acc(buffer);
-        double ecoul = 0.0;
-        double evdwl = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            const double qi = q[i];
-            // One 2-D table row per i, not one lookup per pair (see
-            // PairLJCut::computeImpl).
-            const Coeff *row =
-                kSingleType ? nullptr
-                            : coeffs + static_cast<std::size_t>(type[i]) *
-                                           (ntypes_ + 1);
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double rsq = delta.normSq();
-                if (rsq >= cutAllSq)
-                    continue;
-                const double r2inv = 1.0 / rsq;
-
-                double forcecoul = 0.0;
-                if (rsq < cutCoulSq && qi != 0.0 && q[j] != 0.0) {
-                    const double r = std::sqrt(rsq);
-                    const double grij = g * r;
-                    const double expm2 = std::exp(-grij * grij);
-                    const double erfcVal = std::erfc(grij);
-                    const double prefactor = qqr2e * qi * q[j] / r;
-                    forcecoul =
-                        prefactor * (erfcVal + kSqrtPiInv2 * grij * expm2);
-                    ecoul += prefactor * erfcVal;
-                }
-
-                double forcelj = 0.0;
-                if (rsq < cutLJSq) {
-                    const Coeff &c = kSingleType ? cSingle : row[type[j]];
-                    const double r6inv = r2inv * r2inv * r2inv;
-                    forcelj = r6inv * (c.lj1 * r6inv - c.lj2);
-                    double philj = r6inv * (c.lj3 * r6inv - c.lj4);
-                    if (rsq > cutLJInnerSq) {
-                        const double rsw = cutLJSq - rsq;
-                        const double switch1 =
-                            rsw * rsw * (cutLJSq + 2.0 * rsq -
-                                         3.0 * cutLJInnerSq) / denomLJ;
-                        const double switch2 = 12.0 * rsq * rsw *
-                                               (rsq - cutLJInnerSq) /
-                                               denomLJ;
-                        forcelj = forcelj * switch1 + philj * switch2;
-                        philj *= switch1;
-                    }
-                    evdwl += philj;
-                }
-
-                const double fpair = (forcecoul + forcelj) * r2inv;
-                const Vec3 fvec = delta * fpair;
-                fi += fvec;
-                fw.at(j) -= fvec;
-                virial += fpair * rsq;
-            }
-            fw.at(i) += fi;
-        }
-        ecoulSlice[s] = ecoul;
-        evdwlSlice[s] = evdwl;
-        virialSlice[s] = virial;
+    simdDispatchWidth(list.padWidth, [&](auto width) {
+        computeImpl<P, decltype(width)::value, kSingleType>(sim, list);
     });
-
-    for (int s = 0; s < slices.count(); ++s) {
-        ecoul_ += ecoulSlice[s];
-        evdwl_ += evdwlSlice[s];
-        virial_ += virialSlice[s];
-    }
-    energy_ = ecoul_ + evdwl_;
 }
 
 template <typename P, int W, bool kSingleType>
 void
-PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
+PairLJCharmmCoulLong::computeImpl(Simulation &sim,
                                       const NeighborList &list)
 {
     using real = typename P::real;
@@ -300,15 +178,20 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     else
         coeffBase = coeffsF_.data();
     const Coeff cSingle = coeff(1, 1);
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const std::uint32_t *packedOff = list.packedOffsetData();
+    const std::uint32_t *packed = list.packedNeighborData();
     Vec3 *f = atoms.f.data();
 
     // Stage positions + charge as 4-element [x, y, z, q] records in the
     // tier's `real` type (md/xpack.h) so the inner loop uses transpose
     // loads instead of four hardware gathers per group — and float
     // tiers convert coordinates and charges exactly once per compute.
+    // One-lane double kernels read positions and charges in place
+    // (kXRecord).
+    constexpr std::uint32_t kRec = kXRecord<real, W>;
     const std::size_t nallPad = atoms.nall() + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), q, nallPad);
+    const real *xpackPtr =
+        stagePositions<W>(xpack<real>(), atoms.x.data(), q, nallPad);
 
     fscratch_.runAndReduce(pool, slices, atoms.nall(), f, [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
@@ -319,14 +202,15 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         // to be conservatively reloaded after every such store (see
         // PairLJCut).
         const real *const xpk = xpackPtr;
+        const double *const ql = q;
+        const std::uint32_t *const po = packedOff;
         const std::uint32_t *const pk = packed;
         const D cutAllSqV(static_cast<real>(cutAllSq));
         const D cutLJSqV(static_cast<real>(cutLJSq));
         const D cutLJInnerSqV(static_cast<real>(cutLJInnerSq));
         const D cutCoulSqV(static_cast<real>(cutCoulSq));
-        // 3 * cutLJInnerSq and the switch-branch constants, formed with
-        // the same products the scalar expressions contain (then cast
-        // once on float tiers).
+        // 3 * cutLJInnerSq and the switch-branch constants, formed in
+        // double (then cast once on float tiers).
         const D threeInnerV(static_cast<real>(3.0 * cutLJInnerSq));
         const D denomLJV(static_cast<real>(denomLJ));
         const D gV(static_cast<real>(g));
@@ -340,7 +224,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         const D lj4S(static_cast<real>(cSingle.lj4));
         // Energy/virial accumulation (see PairLJCut): the double tier
         // keeps slice-long lane-striped accumulators — at W = 1 exactly
-        // the scalar kernel's running sums. Float tiers reset the lane
+        // the sequential running sums. Float tiers reset the lane
         // stripes every row and flush the row sum into `acc` scalars.
         D ecoulAcc(real(0));
         D evdwlAcc(real(0));
@@ -349,11 +233,11 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         acc evdwlRows = acc(0);
         acc virialRows = acc(0);
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const real *xiRec = xpk + 4 * i;
+            const real *xiRec = xpk + kRec * i;
             // Charge in full precision from the source array (the pack
             // record's w narrows on float tiers): (qqr2e * qi) is the
-            // exact prefix product of the scalar left-associated
-            // prefactor, cast once.
+            // exact prefix product of the left-associated prefactor
+            // qqr2e * qi * qj / r, cast once.
             const double qi = q[i];
             const bool qiNonzero = qi != 0.0;
             const D qqr2eQiV(static_cast<real>(qqr2e * qi));
@@ -369,19 +253,20 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
             D &ecAcc = kDoubleTier ? ecoulAcc : rowEcoul;
             D &evAcc = kDoubleTier ? evdwlAcc : rowEvdwl;
             D &viAcc = kDoubleTier ? virialAcc : rowVirial;
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i];
+            const std::uint32_t end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, qj;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, qj);
+                loadXyzwRec<kRec>(xpk, ql, pk + k, xjX, xjY, xjZ, qj);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
-                // fma association matches the scalar sum bitwise on the
-                // generic backend (addition order is commutative).
+                // fma association matches dx*dx + dy*dy + dz*dz bitwise
+                // on the generic backend (addition is commutative).
                 const D rsq = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                // Scalar `continue`s past cutAllSq; every term below is
-                // masked through this (or a tighter) cutoff mask, so
-                // those lanes and the sentinel contribute exact zeros.
+                // Lanes past cutAllSq: every term below is masked
+                // through this (or a tighter) cutoff mask, so those
+                // lanes and the sentinel contribute exact zeros.
                 const M anyMask = rsq < cutAllSqV;
                 const int anyBits = anyMask.bits();
                 // All lanes rejected (or pure padding): every term below
@@ -397,10 +282,9 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                     const D r = D::sqrt(rsq);
                     const D grij = gV * r;
                     // erfc/exp have no vector form: evaluate them per
-                    // active lane, ascending as the scalar loop does
-                    // (inactive lanes skip libm exactly as the scalar
-                    // branch does, and stay exact zeros). Float tiers
-                    // resolve to the float libm overloads.
+                    // active lane, ascending (inactive lanes skip libm
+                    // and stay exact zeros). Float tiers resolve to the
+                    // float libm overloads.
                     alignas(64) real grijArr[W];
                     real erfcArr[W] = {};
                     real expm2Arr[W] = {};
@@ -466,7 +350,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                 fiY = D::select(anyMask, fiY + fpy, fiY);
                 fiZ = D::select(anyMask, fiZ + fpz, fiZ);
                 // Newton scatter: pair terms spilled once, set-bit walk
-                // ascending = the scalar kernel's ascending-k order.
+                // ascending = ascending-k order at every width.
                 // Float-tier pair terms widen here, once per store.
                 alignas(64) real sx[W], sy[W], sz[W];
                 fpx.storeu(sx);

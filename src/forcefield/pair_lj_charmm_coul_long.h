@@ -108,23 +108,15 @@ class PairLJCharmmCoulLong : public PairStyle
     void buildCoeffs();
 
     /**
-     * The kernel proper. kSingleType hoists the single LJ coefficient
-     * set out of both loops and skips the per-pair type lookup; the
-     * multi-type path uses one table-row pointer per i. Arithmetic is
-     * identical on both paths.
-     */
-    template <bool kSingleType>
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
-    /**
-     * SIMD kernel over the padded packing (DESIGN.md §12-13). The LJ +
+     * The kernel, over the padded packing (DESIGN.md §12-13). The LJ +
      * switching arithmetic and the Ewald prefactor algebra are W-wide
      * with masked-cutoff selects; erfc/exp have no vector form in libm,
      * so those two calls run per active coulomb lane (sentinel and
-     * out-of-range lanes skip them exactly as the scalar branch does).
-     * Mirrors computeImpl's operation order, so at W = 1 on a no-FMA
-     * build the double-tier instantiation reproduces the scalar
-     * kernel's results.
+     * out-of-range lanes skip them). W = 1 is the one-lane generic
+     * instantiation, the oracle the wider widths are tested against.
+     * kSingleType hoists the single LJ coefficient set out of both
+     * loops and skips the per-pair type lookup; arithmetic is
+     * identical on both paths.
      *
      * P is the precision policy (util/precision.h): per-pair
      * arithmetic — including the per-lane erfc/exp calls, which
@@ -135,13 +127,13 @@ class PairLJCharmmCoulLong : public PairStyle
      * in the double scratch arrays, widened once per atom row.
      */
     template <typename P, int W, bool kSingleType>
-    void computeSimdImpl(Simulation &sim, const NeighborList &list);
+    void computeImpl(Simulation &sim, const NeighborList &list);
 
     /** Tier dispatch: the list's recorded packTier picks the policy. */
     template <bool kSingleType>
     void dispatch(Simulation &sim, const NeighborList &list);
 
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
+    /** Width dispatch: the list's padWidth picks the instantiation. */
     template <typename P, bool kSingleType>
     void dispatchWidth(Simulation &sim, const NeighborList &list);
 };

@@ -125,8 +125,7 @@ PairLJCut::dispatch(Simulation &sim, const NeighborList &list)
     // The list records the precision tier its padded packing was built
     // for (util/precision.h): float tiers run the same kernel
     // instantiated over float lanes, at twice the lane count per ISA
-    // level. padWidth 0 (SIMD layer off) takes the scalar double
-    // oracle regardless of tier.
+    // level.
     switch (list.packTier) {
       case Precision::Mixed:
         return dispatchWidth<PrecisionMixed, kSingleType>(sim, list);
@@ -141,129 +140,24 @@ template <typename P, bool kSingleType>
 void
 PairLJCut::dispatchWidth(Simulation &sim, const NeighborList &list)
 {
-    // The generic backend compiles every width on every build, so the
-    // packed path is exercised even by portable/sanitizer builds when a
-    // width is forced; padWidth 0 (SIMD layer off) takes the scalar
-    // oracle below. The list flavor is a template parameter so the
-    // full-list loop carries no Newton-scatter code at all — compiled
-    // in, it inflates register pressure enough to spill the hoisted
-    // constants out of the hot loop.
-    const bool half = !list.full;
-    switch (list.padWidth) {
-      case 1:
-        return half ? computeSimdImpl<P, 1, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 1, kSingleType, false>(sim, list);
-      case 2:
-        return half ? computeSimdImpl<P, 2, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 2, kSingleType, false>(sim, list);
-      case 4:
-        return half ? computeSimdImpl<P, 4, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 4, kSingleType, false>(sim, list);
-      case 8:
-        return half ? computeSimdImpl<P, 8, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 8, kSingleType, false>(sim, list);
-      case 16:
-        return half ? computeSimdImpl<P, 16, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 16, kSingleType, false>(sim, list);
-      default:
-        return computeImpl<kSingleType>(sim, list);
-    }
-}
-
-template <bool kSingleType>
-void
-PairLJCut::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    TraceScope trace("pair", "lj/cut");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    resetAccumulators();
-    AtomStore &atoms = sim.atoms;
-    const double cutSq = cutoff_ * cutoff_;
-    const std::size_t nlocal = atoms.nlocal();
-    // Full lists visit each pair twice; halve shared accumulators and
-    // skip the j-side force update (f[i] is then the only force write,
-    // so no reduction scratch is needed).
-    const bool half = !list.full;
-    const double pairScale = half ? 1.0 : 0.5;
-
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
-
-    const Vec3 *x = atoms.x.data();
-    const int *type = atoms.type.data();
-    const Coeff *coeffs = coeffs_.data();
-    const Coeff cSingle = coeff(1, 1);
-    Vec3 *f = atoms.f.data();
-    // For half lists every force write — the i-side row sums as well as
-    // the j-side pair terms — goes through the reduction scratch, so
-    // each f entry receives exactly the per-slice partial sums that
-    // runAndReduce folds in ascending slice order. buffer is -1 on the
-    // full-list path, where f[i] is the only write and needs no
-    // scratch.
-    auto kernel = [&](std::size_t sliceBegin, std::size_t sliceEnd, int s,
-                      int buffer) {
-        ReduceScratch<Vec3>::Accumulator fw;
-        if (half)
-            fw = fscratch_.acc(buffer);
-        double energy = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            // One 2-D table row per i, not one lookup per pair: the
-            // row base replaces the per-pair ti * (ntypes + 1) index
-            // arithmetic with a plain type[j] offset.
-            const Coeff *row =
-                kSingleType ? nullptr
-                            : coeffs + static_cast<std::size_t>(type[i]) *
-                                           (ntypes_ + 1);
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double r2 = delta.normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const Coeff &c = kSingleType ? cSingle : row[type[j]];
-                const double r2inv = 1.0 / r2;
-                const double r6inv = r2inv * r2inv * r2inv;
-                const double forcelj =
-                    r6inv * (c.lj1 * r6inv - c.lj2) * r2inv;
-                const Vec3 fpair = delta * forcelj;
-                fi += fpair;
-                if (half)
-                    fw.at(j) -= fpair;
-                energy += pairScale *
-                          (r6inv * (c.lj3 * r6inv - c.lj4) - c.eshift);
-                virial += pairScale * forcelj * r2;
-            }
-            if (half)
-                fw.at(i) += fi;
-            else
-                f[i] += fi;
-        }
-        energySlice[s] = energy;
-        virialSlice[s] = virial;
-    };
-    if (half) {
-        fscratch_.runAndReduce(pool, slices, atoms.nall(), f, kernel);
-    } else {
-        pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-            kernel(begin, end, s, -1);
-        });
-    }
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
+    // The generic backend compiles every width on every build, so each
+    // width runs even on portable/sanitizer builds when it is forced.
+    // The list flavor is a template parameter so the full-list loop
+    // carries no Newton-scatter code at all — compiled in, it inflates
+    // register pressure enough to spill the hoisted constants out of
+    // the hot loop.
+    simdDispatchWidth(list.padWidth, [&](auto width) {
+        constexpr int W = decltype(width)::value;
+        if (list.full)
+            computeImpl<P, W, kSingleType, false>(sim, list);
+        else
+            computeImpl<P, W, kSingleType, true>(sim, list);
+    });
 }
 
 template <typename P, int W, bool kSingleType, bool kHalf>
 void
-PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
+PairLJCut::computeImpl(Simulation &sim, const NeighborList &list)
 {
     using real = typename P::real;
     using acc = typename P::acc;
@@ -309,16 +203,19 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         coeffBase = coeffsF_.data();
     }
     const Coeff cSingle = coeff(1, 1);
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const std::uint32_t *packedOff = list.packedOffsetData();
+    const std::uint32_t *packed = list.packedNeighborData();
     Vec3 *f = atoms.f.data();
 
     // Stage positions as 4-element records in the tier's `real` type
     // (md/xpack.h) so the inner loop uses transpose loads instead of
     // three hardware gathers per group — and float tiers convert each
-    // coordinate exactly once per compute, not once per pair.
+    // coordinate exactly once per compute, not once per pair. One-lane
+    // double kernels read the positions in place (kXRecord).
+    constexpr std::uint32_t kRec = kXRecord<real, W>;
     const std::size_t nallPad = atoms.nall() + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), nullptr,
-                                               nallPad);
+    const real *xpackPtr = stagePositions<W>(xpack<real>(), atoms.x.data(),
+                                             nullptr, nallPad);
 
     auto kernel = [&](std::size_t sliceBegin, std::size_t sliceEnd, int s,
                       int buffer) {
@@ -330,6 +227,7 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         // pointers, and values reached through the closure would have
         // to be conservatively reloaded after every such store.
         const real *const xpk = xpackPtr;
+        const std::uint32_t *const po = packedOff;
         const std::uint32_t *const pk = packed;
         const D cutSqV(static_cast<real>(cutSq));
         const D lj1S(static_cast<real>(cSingle.lj1));
@@ -339,17 +237,17 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const D eshS(static_cast<real>(cSingle.eshift));
         // Energy/virial accumulation (the tier's `acc` rule): the
         // double tier keeps slice-long lane-striped accumulators
-        // reduced once per slice — at W = 1 exactly the scalar
-        // kernel's running sum, preserved bitwise. Float tiers reset
-        // the lane stripes every row and flush the row sum into an
-        // `acc` scalar (double for mixed, float for single), bounding
-        // float accumulation error at the row length.
+        // reduced once per slice — at W = 1 exactly the sequential
+        // running sum of the pair loop, preserved bitwise. Float tiers
+        // reset the lane stripes every row and flush the row sum into
+        // an `acc` scalar (double for mixed, float for single),
+        // bounding float accumulation error at the row length.
         D energyAcc(real(0));
         D virialAcc(real(0));
         acc energyRows = acc(0);
         acc virialRows = acc(0);
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const real *xiRec = xpk + 4 * i;
+            const real *xiRec = xpk + kRec * i;
             const std::uint32_t rowBase =
                 kSingleType ? 0
                             : static_cast<std::uint32_t>(type[i]) *
@@ -360,10 +258,11 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
             D rowVirial(real(0));
             D &eAcc = kDoubleTier ? energyAcc : rowEnergy;
             D &vAcc = kDoubleTier ? virialAcc : rowVirial;
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i];
+            const std::uint32_t end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ;
-                loadXyz(xpk, pk + k, xjX, xjY, xjZ);
+                loadXyzRec<kRec>(xpk, pk + k, xjX, xjY, xjZ);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
@@ -413,11 +312,10 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                     fiY += fpy;
                     fiZ += fpz;
                     // Newton scatter: the pair terms are spilled once and
-                    // the set-bit walk visits lanes ascending, matching
-                    // the scalar kernel's ascending-k order; masked lanes
-                    // (incl. the sentinel) are skipped exactly as the
-                    // scalar `continue` skips them. Float-tier pair
-                    // terms widen here, once per store.
+                    // the set-bit walk visits lanes ascending, so j-side
+                    // updates land in ascending-k order at every width;
+                    // masked lanes (incl. the sentinel) are skipped.
+                    // Float-tier pair terms widen here, once per store.
                     alignas(64) real sx[W], sy[W], sz[W];
                     fpx.storeu(sx);
                     fpy.storeu(sy);

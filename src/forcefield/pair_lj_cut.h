@@ -63,22 +63,18 @@ class PairLJCut : public PairStyle
     void precompute(Coeff &c) const;
 
     /**
-     * The kernel proper. kSingleType skips the per-pair type lookup
-     * entirely (one Coeff hoisted out of both loops) — all five paper
-     * workloads have 1-2 types, and LJ/Chain/EAM/Chute have one. The
-     * arithmetic is identical on both paths, so results are bitwise
-     * independent of which one runs.
-     */
-    template <bool kSingleType>
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
-    /**
-     * SIMD kernel over the padded packing (DESIGN.md §12-13): W-wide
+     * The kernel, over the padded packing (DESIGN.md §12-13): W-wide
      * gather / masked-cutoff select / multiply-accumulate groups with a
-     * per-lane masked scatter for the j-side Newton updates. Mirrors
-     * computeImpl's operation order exactly, so at W = 1 on a
-     * no-FMA build the double-tier instantiation reproduces the scalar
-     * kernel's results.
+     * per-lane masked scatter for the j-side Newton updates. W = 1 is
+     * the one-lane generic instantiation, the oracle the wider widths
+     * are tested against; on a no-FMA build it performs the plain
+     * sequential pair loop's arithmetic bit for bit.
+     *
+     * kSingleType skips the per-pair type lookup entirely (one Coeff
+     * hoisted out of both loops) — all five paper workloads have 1-2
+     * types, and LJ/Chain/EAM/Chute have one. The arithmetic is
+     * identical on both paths, so results are bitwise independent of
+     * which one runs.
      *
      * P is the precision policy (util/precision.h): per-pair
      * arithmetic runs in P::real lanes; the double tier accumulates
@@ -94,13 +90,13 @@ class PairLJCut : public PairStyle
      * half-list one no wasted double-count scaling.
      */
     template <typename P, int W, bool kSingleType, bool kHalf>
-    void computeSimdImpl(Simulation &sim, const NeighborList &list);
+    void computeImpl(Simulation &sim, const NeighborList &list);
 
     /** Tier dispatch: the list's recorded packTier picks the policy. */
     template <bool kSingleType>
     void dispatch(Simulation &sim, const NeighborList &list);
 
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
+    /** Width dispatch: the list's padWidth picks the instantiation. */
     template <typename P, bool kSingleType>
     void dispatchWidth(Simulation &sim, const NeighborList &list);
 

@@ -61,9 +61,9 @@ struct ExperimentSpec
 
     /**
      * SIMD vector width for native modes (-1 = engine default from
-     * MDBENCH_SIMD, 0 = scalar kernels, otherwise the packing width;
-     * see setSimdWidth in util/simd.h). Takes effect at the run's
-     * first neighbor build.
+     * MDBENCH_SIMD, otherwise the packing width 1/2/4/8/16, where 1 is
+     * the one-lane generic kernel; see setSimdWidth in util/simd.h).
+     * Takes effect at the run's first neighbor build.
      */
     int simdWidth = -1;
 

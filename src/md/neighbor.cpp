@@ -421,7 +421,7 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
 }
 
 /**
- * Scalar stencil-walk build: the bitwise oracle (width knob 0/1) and
+ * Scalar stencil-walk build: the bitwise oracle (width knob 1) and
  * the only path for systems with exclusions (the exclusion probe is a
  * hash lookup, not mask algebra). Kept out of line and marked noinline
  * for the same reason Neighbor::buildImpl is: the vectorized staging
@@ -429,7 +429,7 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
  * past its large-function limits and the hot candidate loop here would
  * stop being unrolled (~2x on the serial 500k-atom build). The W-wide
  * distance pre-filter is compiled in only when a width is active
- * (@p Prefilter) so the width-0 oracle keeps the seed's exact loop
+ * (@p Prefilter) so the width-1 oracle keeps the seed's exact loop
  * shape — the dead dispatch alone costs ~15% at 500k atoms.
  */
 template <bool Prefilter>
@@ -743,7 +743,7 @@ Neighbor::buildImpl(Simulation &sim)
     const Vec3 *x = atoms.x.data();
 
     // W-wide candidate filter width: the dominant cost of the bin walk
-    // is the per-candidate r² check. Widths 0/1 keep the original
+    // is the per-candidate r² check. Width 1 keeps the original
     // scalar walk below as the bitwise oracle.
     const int filterW = [] {
         const int dw = simdWidthFor(false);
@@ -883,13 +883,13 @@ Neighbor::packPadded(Simulation &sim, NeighborList &list)
     const int width = simdWidthFor(tier != Precision::Double);
     list.padWidth = width;
     list.packTier = tier;
-    if (width < 1 || nlocal == 0) {
+    if (width == 1 || nlocal == 0) {
+        // Nothing to pad: the kernels read the plain CSR in place, so
+        // the width-1 path costs no copy of the list.
         list.packedOffsets.clear();
         list.packedNeighbors.clear();
         list.paddedSlots = 0;
         list.sentinel = 0;
-        list.padWidth = 0;
-        list.packTier = Precision::Double;
         return;
     }
     TraceScope trace("neigh", "pack_padded");

@@ -36,16 +36,18 @@ struct NeighborList
     bool full = false;                    ///< full vs half list
     double buildCutoff = 0.0;             ///< cutoff + skin used at build
 
-    // SIMD padded packing (DESIGN.md §12): a second CSR view of the
-    // same pairs whose rows are padded to a multiple of padWidth with
+    // SIMD padded packing (DESIGN.md §12): the view the pair kernels
+    // traverse, whose rows are padded to a multiple of padWidth with
     // copies of `sentinel` — the index of the AtomStore pad slot, an
     // inert atom placed far outside every cutoff so the kernels'
-    // distance masks zero the padding lanes. Built only when the SIMD
-    // layer is active (padWidth >= 1); the plain list above always
-    // remains valid and is the scalar oracle.
-    std::vector<std::uint32_t> packedOffsets;   ///< size nlocal + 1
+    // distance masks zero the padding lanes. When no row needs padding
+    // (padWidth 1, or no owned atoms) the packed arrays stay empty and
+    // the padded view *is* the plain CSR above: read it through
+    // packedOffsetData/packedNeighborData/packedRange, never the
+    // arrays directly.
+    std::vector<std::uint32_t> packedOffsets;   ///< size nlocal + 1 or 0
     std::vector<std::uint32_t> packedNeighbors; ///< rows padded to padWidth
-    int padWidth = 0;              ///< packing vector width (0 = disabled)
+    int padWidth = 0;              ///< packing vector width (0 = unpacked)
     std::uint32_t sentinel = 0;    ///< pad-slot index filling padded slots
     std::size_t paddedSlots = 0;   ///< sentinel entries across all rows
 
@@ -65,15 +67,34 @@ struct NeighborList
         return {offsets[i], offsets[i + 1]};
     }
 
+    /** Row offsets of the padded view (size nlocal + 1). */
+    const std::uint32_t *
+    packedOffsetData() const
+    {
+        return packedOffsets.empty() ? offsets.data() : packedOffsets.data();
+    }
+
+    /** Payload of the padded view. */
+    const std::uint32_t *
+    packedNeighborData() const
+    {
+        return packedOffsets.empty() ? neighbors.data()
+                                     : packedNeighbors.data();
+    }
+
     /** Padded neighbors of @p i (length a multiple of padWidth). */
     std::pair<std::uint32_t, std::uint32_t>
     packedRange(std::size_t i) const
     {
-        return {packedOffsets[i], packedOffsets[i + 1]};
+        const std::uint32_t *off = packedOffsetData();
+        return {off[i], off[i + 1]};
     }
 
     /** True when the padded packing was built at width @p w. */
     bool packedFor(int w) const { return padWidth == w && padWidth >= 1; }
+
+    /** Entries of the padded view: stored pairs plus sentinel slots. */
+    std::size_t packedSlots() const { return pairCount() + paddedSlots; }
 
     /** Total stored pairs (excludes padding). */
     std::size_t pairCount() const { return neighbors.size(); }
@@ -214,9 +235,10 @@ class Neighbor
     [[gnu::noinline]] void buildImpl(Simulation &sim);
 
     /**
-     * Build the padded packing of @p list at the current simdWidth() (a
-     * no-op that clears the packed arrays when the SIMD layer is off)
+     * Build the padded packing of @p list at the current simdWidth()
      * and install the AtomStore pad slot the sentinel ids gather from.
+     * A list no row of which needs padding (width 1, or no owned atoms)
+     * keeps empty packed arrays: its padded view is the plain CSR.
      */
     void packPadded(Simulation &sim, NeighborList &list);
 

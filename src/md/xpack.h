@@ -5,7 +5,8 @@
  * Kernels restage AtomStore positions each compute as 4-element
  * [x, y, z, w] records — one per atom slot including the neighbor
  * packing's pad slot — so the inner loops use `loadXyzw` transpose
- * loads instead of three or four hardware gathers. The w slot carries
+ * loads instead of three or four hardware gathers (one-lane double
+ * kernels skip the staging, see kXRecord). The w slot carries
  * the kernel's per-atom payload (charge for lj/charmm/coul/long,
  * F'(rho) for EAM's second pass, zero for lj/cut).
  *
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "md/vec3.h"
@@ -93,6 +95,33 @@ class XPack
     std::vector<T> buf_;
     T *aligned_ = nullptr;
 };
+
+/**
+ * Record stride a kernel instantiation reads positions with. One-lane
+ * double kernels read the AtomStore's [x, y, z] array in place (3
+ * doubles per atom, payload from its own array): a one-lane load
+ * gains nothing from the transpose-friendly records, and staging them
+ * would add 32 bytes per atom slot to the footprint of the default
+ * build. Every other instantiation reads staged 4-element records.
+ */
+template <typename T, int W>
+inline constexpr std::uint32_t kXRecord =
+    std::is_same_v<T, double> && W == 1 ? 3 : 4;
+
+/**
+ * The position records a width-@p W kernel reads: @p x itself when
+ * kXRecord is 3, otherwise @p pack restaged with @p payload in w.
+ */
+template <int W, typename T>
+inline const T *
+stagePositions(XPack<T> &pack, const Vec3 *x, const double *payload,
+               std::size_t n)
+{
+    if constexpr (kXRecord<T, W> == 3)
+        return reinterpret_cast<const double *>(x);
+    else
+        return pack.stage(x, payload, n);
+}
 
 } // namespace mdbench
 

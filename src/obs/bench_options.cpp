@@ -100,8 +100,8 @@ benchOptionsUsage()
            "(mdbench-manifest-v1)\n"
            "  --log-level L     silent|warn|inform|debug or 0-3 "
            "(overrides MDBENCH_LOG_LEVEL)\n"
-           "  --no-simd         run scalar pair kernels "
-           "(overrides MDBENCH_SIMD)\n"
+           "  --no-simd         pin the one-lane (width 1) pair "
+           "kernels (overrides MDBENCH_SIMD)\n"
            "  --precision TIER  double|mixed|single|default native "
            "compute tier (overrides MDBENCH_PRECISION)\n";
 }
@@ -112,7 +112,7 @@ BenchRun::BenchRun(int &argc, char **argv, const std::string &program)
     if (options_.help)
         std::fputs(benchOptionsUsage(), stdout);
     if (options_.noSimd)
-        setSimdWidth(0);
+        setSimdWidth(1);
     if (!options_.tracePath.empty())
         traceEnable();
     setActiveManifest(&manifest_);

@@ -5,7 +5,8 @@
  * Three tiers (the paper's Section 8 study, made real):
  *
  *  - double: all arithmetic and accumulation in double. The seed
- *    behavior; bitwise-stable against the scalar oracle kernels.
+ *    behavior; at width 1 on a build without FMA contraction, bitwise
+ *    the seed's sequential pair loops.
  *  - mixed:  float coordinates/charges and per-pair force arithmetic,
  *    double accumulation of per-atom forces, energies and virials
  *    (the Trott et al. production design, arXiv 1009.4330).

@@ -9,8 +9,9 @@
  * interface:
  *
  *  - a generic array backend (the primary template) that compiles for
- *    any T and W with plain scalar loops — the scalar-fallback oracle
- *    and the body every sanitizer build exercises,
+ *    any T and W with plain scalar loops — at W = 1 the oracle every
+ *    wider width is tested against, and the body every sanitizer
+ *    build exercises,
  *  - an AVX2 backend for `Simd<double, 4>` (`__m256d` + `__m128i`
  *    indices) and `Simd<float, 8>` (`__m256` + `__m256i` indices),
  *    selected when the translation unit is compiled with
@@ -33,15 +34,17 @@
  * therefore performs exactly the scalar instruction sequence.
  *
  * Width configuration: `simdWidthFor(floatLanes)` is the packed
- * neighbor-list width the engine should use — 0 disables the SIMD path
- * entirely (scalar loops, no padded packing); `simdWidth()` is the
- * double-lane width. The default comes from the `MDBENCH_SIMD`
- * environment variable (`0`/`off` = disabled, `1`/`on`/unset = native
- * compiled width — double that for float lanes — and an explicit
- * `2`/`4`/`8`/`16` forces that width for both element types, through
- * the generic backend when no matching ISA backend exists) gated by a
- * runtime CPU capability check; `setSimdWidth()` overrides it
- * programmatically (benches, tests, ExperimentSpec).
+ * neighbor-list width the engine should use; `simdWidth()` is the
+ * double-lane width. Every width is a kernel instantiation — W = 1 is
+ * the one-lane generic path, which is also the oracle the wider
+ * widths are tested against. The default comes from the `MDBENCH_SIMD`
+ * environment variable (`0`/`off` = width 1, `1`/`on`/unset = native
+ * compiled width — double that for float lanes, and 1 on a build or
+ * host without an ISA backend — and an explicit `2`/`4`/`8`/`16`
+ * forces that width for both element types, through the generic
+ * backend when no matching ISA backend exists) gated by a runtime CPU
+ * capability check; `setSimdWidth()` overrides it programmatically
+ * (benches, tests, ExperimentSpec).
  */
 
 #ifndef MDBENCH_UTIL_SIMD_H
@@ -54,6 +57,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <type_traits>
+
+#include "util/error.h"
 
 #if !defined(MDBENCH_SIMD_FORCE_SCALAR)
 #if defined(__AVX512F__)
@@ -107,8 +114,8 @@ simdIsaName()
  * True when the executing CPU supports the compiled ISA backend. A
  * binary built with `-march` flags for a newer CPU than the host would
  * fault inside the intrinsic paths; this check routes such runs to the
- * scalar loops instead (the generic backend compiles to plain scalar
- * code and needs no check).
+ * W = 1 generic path instead (the generic backend compiles to plain
+ * scalar code and needs no check).
  */
 inline bool
 simdRuntimeSupported()
@@ -122,7 +129,7 @@ simdRuntimeSupported()
 #endif
 }
 
-/** Widths the pair kernels instantiate; others fall back to scalar. */
+/** Widths the pair kernels instantiate. */
 inline bool
 simdWidthSupported(int w)
 {
@@ -133,13 +140,12 @@ simdWidthSupported(int w)
  * Backend that executes width @p w in this translation unit: the ISA
  * specialization when one matches (which depends on whether the tier
  * computes in float or double lanes), otherwise the generic (unrolled
- * scalar) template; 0 is the plain scalar kernels.
+ * scalar) template.
  */
 inline const char *
-simdBackendName(int w, [[maybe_unused]] bool floatLanes = false)
+simdBackendName([[maybe_unused]] int w,
+                [[maybe_unused]] bool floatLanes = false)
 {
-    if (w <= 0)
-        return "scalar";
 #if defined(MDBENCH_SIMD_AVX512)
     if (w == (floatLanes ? 16 : 8))
         return "avx512";
@@ -161,7 +167,7 @@ simdResolveEnvWidth(int native)
     if (!env || !*env)
         return native;
     if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)
-        return 0;
+        return 1;
     if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
         std::strcmp(env, "native") == 0)
         return native;
@@ -180,7 +186,7 @@ simdDefaultWidth()
     static const int width = detail::simdResolveEnvWidth(
         (kSimdCompiledWidth > 1 && simdRuntimeSupported())
             ? kSimdCompiledWidth
-            : 0);
+            : 1);
     return width;
 }
 
@@ -191,7 +197,7 @@ simdDefaultFloatWidth()
     static const int width = detail::simdResolveEnvWidth(
         (kSimdCompiledFloatWidth > 1 && simdRuntimeSupported())
             ? kSimdCompiledFloatWidth
-            : 0);
+            : 1);
     return width;
 }
 
@@ -202,10 +208,10 @@ inline std::atomic<int> gSimdWidthOverride{-1};
 
 /**
  * Packed neighbor-list width the engine should use right now for the
- * given lane element type: 0 = SIMD path disabled (plain scalar
- * kernels, no padded packing). An explicit override (setSimdWidth or
- * a numeric MDBENCH_SIMD) forces that lane count for both element
- * types; the native default doubles the lane count for float tiers.
+ * given lane element type (always a supported width, at least 1). An
+ * explicit override (setSimdWidth or a numeric MDBENCH_SIMD) forces
+ * that lane count for both element types; the native default doubles
+ * the lane count for float tiers.
  */
 inline int
 simdWidthFor(bool floatLanes)
@@ -225,19 +231,38 @@ simdWidth()
 }
 
 /**
- * Override the packed width: 0 disables the SIMD path, 1/2/4/8/16
- * force that width (through the generic backend when no ISA backend
- * matches), -1 restores the MDBENCH_SIMD environment default. Takes
- * effect at the next neighbor-list build. Returns the previous
- * override (-1 when none was set), so a caller can restore it.
+ * Override the packed width: 1/2/4/8/16 force that width (through the
+ * generic backend when no ISA backend matches); -1, and any
+ * unsupported width including 0, restores the MDBENCH_SIMD environment
+ * default. Takes effect at the next neighbor-list build. Returns the
+ * previous override (-1 when none was set), so a caller can restore
+ * it.
  */
 inline int
 setSimdWidth(int width)
 {
     return detail::gSimdWidthOverride.exchange(
-        width >= -1 && (width <= 0 || simdWidthSupported(width)) ? width
-                                                                 : -1,
-        std::memory_order_relaxed);
+        simdWidthSupported(width) ? width : -1, std::memory_order_relaxed);
+}
+
+/**
+ * Call @p f with `std::integral_constant<int, W>{}` for the packed
+ * width @p w: the one place a pair style turns a list's runtime width
+ * into its kernel instantiation. Every supported width has a kernel;
+ * anything else (an unpacked list's 0) is an engine bug.
+ */
+template <typename F>
+inline void
+simdDispatchWidth(int w, F &&f)
+{
+    switch (w) {
+      case 1: return f(std::integral_constant<int, 1>{});
+      case 2: return f(std::integral_constant<int, 2>{});
+      case 4: return f(std::integral_constant<int, 4>{});
+      case 8: return f(std::integral_constant<int, 8>{});
+      case 16: return f(std::integral_constant<int, 16>{});
+      default: panic("no pair kernel for packed width " + std::to_string(w));
+    }
 }
 
 // --------------------------------------------------------------- generic
@@ -493,10 +518,12 @@ struct Simd
     }
 
     /**
-     * a*b + c. Deliberately UNFUSED here: the generic backend is the
-     * bitwise oracle for W==1-vs-scalar equality on builds without FMA
-     * codegen, so it must round the product. ISA backends fuse (the
-     * determinism contract is per-ISA, not cross-ISA).
+     * a*b + c. Deliberately UNFUSED here: the generic backend
+     * evaluates each kernel expression exactly as plain sequential
+     * code would, so on builds without FMA codegen W = 1 keeps the
+     * historical sequential results bit for bit; it must round the
+     * product. ISA backends fuse (the determinism contract is
+     * per-ISA, not cross-ISA).
      */
     static Simd
     fma(const Simd &a, const Simd &b, const Simd &c)
@@ -673,6 +700,48 @@ loadXyz(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
         x.v[l] = rec[0];
         y.v[l] = rec[1];
         z.v[l] = rec[2];
+    }
+}
+
+/**
+ * loadXyz over records of @p kRec elements: 4 is the staged layout
+ * (and resolves to the ISA transpose overloads), 3 reads a plain
+ * [x, y, z] position array in place (see kXRecord in md/xpack.h).
+ */
+template <std::uint32_t kRec, typename T, int W>
+inline void
+loadXyzRec(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
+           Simd<T, W> &y, Simd<T, W> &z)
+{
+    if constexpr (kRec == 4) {
+        loadXyz(pack, idx, x, y, z);
+    } else {
+        for (int l = 0; l < W; ++l) {
+            const T *rec = pack + kRec * idx[l];
+            x.v[l] = rec[0];
+            y.v[l] = rec[1];
+            z.v[l] = rec[2];
+        }
+    }
+}
+
+/**
+ * loadXyzw over records of @p kRec elements: staged 4-element records
+ * carry the payload in w; in-place 3-element records take it from
+ * @p payload, cast to T exactly as staging would.
+ */
+template <std::uint32_t kRec, typename T, int W>
+inline void
+loadXyzwRec(const T *pack, [[maybe_unused]] const double *payload,
+            const std::uint32_t *idx, Simd<T, W> &x, Simd<T, W> &y,
+            Simd<T, W> &z, Simd<T, W> &w)
+{
+    if constexpr (kRec == 4) {
+        loadXyzw(pack, idx, x, y, z, w);
+    } else {
+        loadXyzRec<kRec>(pack, idx, x, y, z);
+        for (int l = 0; l < W; ++l)
+            w.v[l] = static_cast<T>(payload[idx[l]]);
     }
 }
 

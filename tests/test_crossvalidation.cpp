@@ -25,12 +25,12 @@ TEST(CrossValidation, LjPairShareNativeVsModel)
     native.benchmark = BenchmarkId::LJ;
     native.natoms = 4000;
     native.steps = 120;
-    // Pin the scalar pair kernels: the model's task ratios are
-    // calibrated against them. On ISA builds the SIMD path speeds up
-    // Pair but not the neighbor build (unlike the INTEL package the
-    // model replays, which vectorizes both), so the share comparison
-    // below only holds at the scalar operating point.
-    native.simdWidth = 0;
+    // Pin the one-lane (W = 1) pair kernels: the model's task ratios
+    // are calibrated against the scalar operating point. On ISA builds
+    // the SIMD path speeds up Pair but not the neighbor build (unlike
+    // the INTEL package the model replays, which vectorizes both), so
+    // the share comparison below only holds at width 1.
+    native.simdWidth = 1;
     const auto nativeRecord = runExperiment(native);
 
     const auto modelRecord =

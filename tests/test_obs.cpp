@@ -241,20 +241,6 @@ TEST(Counters, SimdKernelLaneAccounting)
     setSimdWidth(-1);
 }
 
-TEST(Counters, SimdCountersStaySilentOnScalarPath)
-{
-    setSimdWidth(0);
-    resetCounters();
-    auto sim = buildLJ(4);
-    sim->thermoEvery = 0;
-    sim->setup();
-    EXPECT_EQ(counterValue(Counter::PairSimdLanesActive), 0u);
-    EXPECT_EQ(counterValue(Counter::PairSimdPaddingWaste), 0u);
-    EXPECT_EQ(counterValue(Counter::NeighPaddedSlots), 0u);
-    resetCounters();
-    setSimdWidth(-1);
-}
-
 TEST(Trace, SimdKernelScopeAppearsInExport)
 {
     setSimdWidth(4);
@@ -301,7 +287,7 @@ TEST(Counters, NeighborBuildFilterAccounting)
     EXPECT_EQ(accepted, sim->neighbor.list().pairCount());
     setSimdWidth(-1);
 
-    setSimdWidth(0);
+    setSimdWidth(1);
     resetCounters();
     auto scalar = buildLJ(4);
     scalar->thermoEvery = 0;

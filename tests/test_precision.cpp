@@ -19,6 +19,7 @@
 #include "md/analysis.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
+#include "obs/counters.h"
 #include "util/precision.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -146,13 +147,29 @@ TEST(PrecisionPacking, DefaultWidthDoublesLanesOnFloatTiers)
     TierGuard guard;
     setPrecisionTier(Precision::Mixed);
     setSimdWidth(-1);
-    if (simdDefaultFloatWidth() == 0)
-        GTEST_SKIP() << "SIMD disabled on this build/host";
     auto sim = buildLJ(4);
     sim->thermoEvery = 0;
     sim->setup();
     EXPECT_EQ(sim->neighbor.list().padWidth, simdDefaultFloatWidth());
     EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
+}
+
+TEST(PrecisionPacking, MixedTierRunsFloatKernelsAtDefaultWidth)
+{
+    // Every build, with or without an ISA backend, must honour the
+    // mixed tier at the engine-default width: the list is packed for
+    // it and the pair kernel runs in float lanes, rather than silently
+    // computing in double under a "mixed" label.
+    TierGuard guard;
+    setPrecisionTier(Precision::Mixed);
+    setSimdWidth(-1);
+    resetCounters();
+    auto sim = buildLJ(4);
+    sim->thermoEvery = 0;
+    sim->setup();
+    EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
+    EXPECT_GT(counterValue(Counter::PairFloatComputes), 0u);
+    resetCounters();
 }
 
 // ------------------------------------------------- force agreement

@@ -2,9 +2,9 @@
  * @file
  * The portable SIMD compute layer (DESIGN.md §12): wrapper-op semantics
  * of the generic and compiled backends, the padded neighbor packing,
- * scalar-vs-SIMD kernel agreement at every width, thread-count
- * invariance of the vector kernels, the sort-interaction regression,
- * and the width-selection API.
+ * kernel agreement of every width with the one-lane (W = 1) oracle,
+ * thread-count invariance of the vector kernels, the sort-interaction
+ * regression, and the width-selection API.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +13,14 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/suite.h"
+#include "forcefield/pair_lj_cut.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -84,15 +87,14 @@ builtCharmm()
 struct Comparison
 {
     double maxForceDiff = 0.0;
-    bool forcesExact = true;
-    double energyDiff = 0.0; ///< relative to the scalar reference
+    double energyDiff = 0.0; ///< relative to the width-1 reference
 };
 
-/** Forces/energy of a width-@p w setup against the scalar kernels. */
+/** Forces/energy of a width-@p w setup against the W = 1 oracle. */
 Comparison
-compareAgainstScalar(const Builder &build, int w)
+compareAgainstWidthOne(const Builder &build, int w)
 {
-    setSimdWidth(0);
+    setSimdWidth(1);
     auto ref = build();
     setSimdWidth(w);
     auto sim = build();
@@ -104,8 +106,6 @@ compareAgainstScalar(const Builder &build, int w)
         c.maxForceDiff =
             std::max({c.maxForceDiff, std::abs(a.x - b.x),
                       std::abs(a.y - b.y), std::abs(a.z - b.z)});
-        if (a.x != b.x || a.y != b.y || a.z != b.z)
-            c.forcesExact = false;
     }
     const double refEnergy = ref->potentialEnergy();
     c.energyDiff = std::abs(sim->potentialEnergy() - refEnergy) /
@@ -301,15 +301,44 @@ TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
     EXPECT_EQ(padSeen, list.paddedSlots);
 }
 
-TEST(PackedList, DisabledAtWidthZero)
+TEST(PackedList, WidthOneReadsThePlainListInPlace)
 {
+    // No row needs padding at W = 1, so the padded view is the plain
+    // CSR itself: no copy of the list and no pad slot.
     WidthGuard guard;
-    setSimdWidth(0);
+    setSimdWidth(1);
     auto sim = builtLJ();
     const NeighborList &list = sim->neighbor.list();
-    EXPECT_EQ(list.padWidth, 0);
-    EXPECT_FALSE(list.packedFor(1));
+    ASSERT_TRUE(list.packedFor(1));
+    EXPECT_TRUE(list.packedOffsets.empty());
+    EXPECT_TRUE(list.packedNeighbors.empty());
+    EXPECT_EQ(list.packedOffsetData(), list.offsets.data());
+    EXPECT_EQ(list.packedNeighborData(), list.neighbors.data());
     EXPECT_EQ(list.paddedSlots, 0u);
+    EXPECT_EQ(list.packedSlots(), list.pairCount());
+    EXPECT_EQ(sim->atoms.npad(), 0u);
+}
+
+TEST(PackedList, EmptyListLeavesAccumulatorsAtZero)
+{
+    // A rank that owns no atoms still packs (nothing) and runs the
+    // kernel at its width: energy and virial come out exactly zero.
+    WidthGuard guard;
+    for (int w : {1, 4}) {
+        setSimdWidth(w);
+        Simulation sim;
+        sim.box = Box({0, 0, 0}, {10, 10, 10});
+        sim.atoms.setNumTypes(1);
+        auto pair = std::make_unique<PairLJCut>(1, 2.5);
+        pair->setCoeff(1, 1, 1.0, 1.0);
+        sim.pair = std::move(pair);
+        sim.thermoEvery = 0;
+        sim.setup();
+        ASSERT_EQ(sim.atoms.nlocal(), 0u);
+        ASSERT_TRUE(sim.neighbor.list().packedFor(w));
+        EXPECT_EQ(sim.pair->energy(), 0.0) << "width " << w;
+        EXPECT_EQ(sim.pair->virial(), 0.0) << "width " << w;
+    }
 }
 
 TEST(PackedList, FullListRequestSurvivesSetup)
@@ -318,7 +347,7 @@ TEST(PackedList, FullListRequestSurvivesSetup)
     // request with the pair style's (half) preference, silently turning
     // every full-list measurement into a half-list one.
     WidthGuard guard;
-    setSimdWidth(0);
+    setSimdWidth(1);
     auto half = buildLJ(4);
     jitter(*half);
     half->thermoEvery = 0;
@@ -355,8 +384,8 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
         sim->setup();
         return sim;
     };
-    for (int w : {1, 2, 4, 8}) {
-        const Comparison c = compareAgainstScalar(build, w);
+    for (int w : {2, 4, 8, 16}) {
+        const Comparison c = compareAgainstWidthOne(build, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
@@ -367,8 +396,8 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
 TEST(Kernels, LjCutMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
-        const Comparison c = compareAgainstScalar(builtLJ, w);
+    for (int w : {2, 4, 8, 16}) {
+        const Comparison c = compareAgainstWidthOne(builtLJ, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
@@ -377,8 +406,8 @@ TEST(Kernels, LjCutMatchesScalarAtEveryWidth)
 TEST(Kernels, EamMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
-        const Comparison c = compareAgainstScalar(builtEAM, w);
+    for (int w : {2, 4, 8, 16}) {
+        const Comparison c = compareAgainstWidthOne(builtEAM, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
@@ -387,28 +416,10 @@ TEST(Kernels, EamMatchesScalarAtEveryWidth)
 TEST(Kernels, CharmmMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
-        const Comparison c = compareAgainstScalar(builtCharmm, w);
+    for (int w : {2, 4, 8, 16}) {
+        const Comparison c = compareAgainstWidthOne(builtCharmm, w);
         EXPECT_LT(c.maxForceDiff, 1e-9) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-6) << "width " << w;
-    }
-}
-
-TEST(Kernels, WidthOneIsBitwiseScalarOnNoFmaBuilds)
-{
-    // The generic backend mirrors the scalar expression trees term for
-    // term, so W = 1 must reproduce the scalar kernels bit for bit
-    // whenever the compiler cannot contract a*b+c (no FMA codegen).
-    // ISA builds hand width 1 the same generic template, but the whole
-    // TU is compiled with -mfma, so only the claim below is portable.
-    if (kSimdCompiledWidth != 1)
-        GTEST_SKIP() << "FMA contraction expected on ISA builds";
-    WidthGuard guard;
-    for (const Builder &build : {Builder(builtLJ), Builder(builtEAM),
-                                 Builder(builtCharmm)}) {
-        const Comparison c = compareAgainstScalar(build, 1);
-        EXPECT_TRUE(c.forcesExact);
-        EXPECT_EQ(c.energyDiff, 0.0);
     }
 }
 
@@ -448,7 +459,7 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
         sim->run(12);
         return sim;
     };
-    auto scalar = run(0);
+    auto oracle = run(1);
     auto simd = run(4);
     const NeighborList &list = simd->neighbor.list();
     ASSERT_TRUE(list.packedFor(4));
@@ -457,8 +468,8 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
         for (std::uint32_t k = pb; k < pe; ++k)
             ASSERT_LE(list.packedNeighbors[k], list.sentinel);
     }
-    EXPECT_NEAR(simd->potentialEnergy(), scalar->potentialEnergy(),
-                1e-8 * std::abs(scalar->potentialEnergy()));
+    EXPECT_NEAR(simd->potentialEnergy(), oracle->potentialEnergy(),
+                1e-8 * std::abs(oracle->potentialEnergy()));
 }
 
 // ------------------------------------------------------ width API
@@ -468,33 +479,44 @@ TEST(WidthApi, OverrideAndRestore)
     WidthGuard guard;
     setSimdWidth(2);
     EXPECT_EQ(simdWidth(), 2);
-    setSimdWidth(0);
-    EXPECT_EQ(simdWidth(), 0);
     setSimdWidth(-1);
     EXPECT_EQ(simdWidth(), simdDefaultWidth());
-    setSimdWidth(3); // unsupported width falls back to the default
-    EXPECT_EQ(simdWidth(), simdDefaultWidth());
+    // Unsupported widths, 0 included, fall back to the default.
+    for (int bad : {0, 3}) {
+        setSimdWidth(2);
+        setSimdWidth(bad);
+        EXPECT_EQ(simdWidth(), simdDefaultWidth()) << "width " << bad;
+    }
+    EXPECT_GE(simdDefaultWidth(), 1);
+    EXPECT_GE(simdDefaultFloatWidth(), 1);
 }
 
 TEST(WidthApi, BackendNamesAreConsistent)
 {
-    EXPECT_STREQ(simdBackendName(0), "scalar");
-    EXPECT_STREQ(simdBackendName(-1), "scalar");
+    // The ISA specializations compiled into this build: an AVX-512
+    // build also compiles the AVX2 backend, so both levels appear.
+    // Float lanes at a given ISA level come in twice the double count.
+    std::map<int, std::string> doubleBackends, floatBackends;
+    if (kSimdCompiledWidth >= 4) {
+        doubleBackends[4] = "avx2";
+        floatBackends[8] = "avx2";
+    }
+    if (kSimdCompiledWidth >= 8) {
+        doubleBackends[8] = "avx512";
+        floatBackends[16] = "avx512";
+    }
     for (int w : {1, 2, 4, 8, 16}) {
         ASSERT_TRUE(simdWidthSupported(w));
-        const char *name = simdBackendName(w);
-        if (w == kSimdCompiledWidth && w > 1)
-            EXPECT_STREQ(name, simdIsaName());
-        else
-            EXPECT_STREQ(name, "generic");
-        // Float lanes at a given width use the ISA backend whose float
-        // vector holds that many lanes (twice the double count).
-        const char *floatName = simdBackendName(w, true);
-        if (w == kSimdCompiledFloatWidth && w > 1)
-            EXPECT_STREQ(floatName, simdIsaName());
-        else
-            EXPECT_STREQ(floatName, "generic");
+        const auto d = doubleBackends.find(w);
+        EXPECT_EQ(simdBackendName(w),
+                  d == doubleBackends.end() ? "generic" : d->second)
+            << "width " << w;
+        const auto f = floatBackends.find(w);
+        EXPECT_EQ(simdBackendName(w, true),
+                  f == floatBackends.end() ? "generic" : f->second)
+            << "float width " << w;
     }
+    EXPECT_FALSE(simdWidthSupported(0));
     EXPECT_FALSE(simdWidthSupported(3));
     EXPECT_FALSE(simdWidthSupported(32));
 }
