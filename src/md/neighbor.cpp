@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -29,6 +28,16 @@ constexpr std::size_t kNeighborGrain = 128;
  * beyond a bin's end are masked off, never consumed.
  */
 constexpr std::size_t kSimdPad = 16;
+
+/**
+ * Bins per build cutoff along each axis. Bins are at least half the
+ * cutoff + skin wide, so every neighbor of an atom lies within two bins
+ * of its own and the stencil spans 5 bins per axis (LAMMPS's default
+ * half-cutoff binning): 75 bins for half lists, 125 for full lists,
+ * about a third of the candidate volume of a 27-bin stencil over
+ * cutoff-wide bins.
+ */
+constexpr int kStencilReach = 2;
 
 /** Uniform bin grid over the box plus a ghost shell of one cutoff. */
 struct BinGrid
@@ -65,8 +74,9 @@ makeBinGrid(const mdbench::Box &box, double cut)
     const mdbench::Vec3 hi = box.hi() + mdbench::Vec3{cut, cut, cut};
     const mdbench::Vec3 len = hi - grid.lo;
     const double lens[3] = {len.x, len.y, len.z};
+    const double minBin = cut / kStencilReach;
     for (int axis = 0; axis < 3; ++axis) {
-        grid.nb[axis] = std::max(1, static_cast<int>(lens[axis] / cut));
+        grid.nb[axis] = std::max(1, static_cast<int>(lens[axis] / minBin));
         grid.inv[axis] = grid.nb[axis] / lens[axis];
     }
     grid.nbins =
@@ -80,7 +90,10 @@ makeBinGrid(const mdbench::Box &box, double cut)
  * index order (the scatter walks atoms in order), and the contiguous
  * layout streams better than chasing head/next chains. Shared by the
  * list build (over owned + ghost atoms) and the spatial sort (over
- * owned atoms only), so both traverse identical bin geometry.
+ * owned atoms only), so both traverse identical bin geometry. Serial
+ * at every thread count: a threaded variant needs a slices × bins
+ * histogram, which at half-cutoff bins costs more memory traffic than
+ * the scatter it parallelizes.
  */
 void
 countingSortBins(const BinGrid &grid, const mdbench::Vec3 *x, std::size_t n,
@@ -107,60 +120,30 @@ countingSortBins(const BinGrid &grid, const mdbench::Vec3 *x, std::size_t n,
 }
 
 /**
- * Threaded counting sort over the shared pool, bitwise identical to
- * the serial version: per-slice histograms, a serial (bin, slice)
- * prefix that assigns each slice a scatter cursor per bin, then a
- * parallel scatter. Slices are a fixed partition of the atom range and
- * walk atoms ascending, so within a bin the final order is ascending
- * atom index exactly as the serial scatter produces.
+ * Half-list ownership rule: true when @p b follows @p a in (z, y, x)
+ * lexicographic order, in which case the atom at @p a stores the pair.
+ * One rule for owned and ghost partners alike. Of the two mirrored
+ * copies of a pair that crosses a periodic boundary (ghost j seen from
+ * i at displacement d, ghost i seen from j at −d) exactly one is
+ * lexicographically positive, so the rule needs no bins commensurate
+ * with the box; an owned–owned pair compares the same two positions
+ * from both sides. It also rejects i itself, and only atoms in bins at
+ * or above i's z bin can pass it, which is what lets the half stencil
+ * skip the dz < 0 planes. The vectorized filter evaluates the same
+ * compares as lane masks.
  */
-void
-countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
-                         std::size_t n, ThreadPool &pool,
-                         std::vector<std::uint32_t> &binOf,
-                         std::vector<std::uint32_t> &binStart,
-                         std::vector<std::uint32_t> &binSliceCount,
-                         std::vector<std::uint32_t> &binAtoms)
+inline bool
+lexAfter(const mdbench::Vec3 &b, const mdbench::Vec3 &a)
 {
-    const SliceRange slices(0, n, kNeighborGrain);
-    const std::size_t nslices = static_cast<std::size_t>(slices.count());
-    const std::size_t nbins = grid.nbins;
-    binOf.resize(n);
-    binSliceCount.assign(nslices * nbins, 0);
-    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-        std::uint32_t *counts = binSliceCount.data() + s * nbins;
-        for (std::size_t i = begin; i < end; ++i) {
-            const auto b = grid.cellOf(x[i]);
-            const std::uint32_t flat =
-                static_cast<std::uint32_t>(grid.flatten(b[0], b[1], b[2]));
-            binOf[i] = flat;
-            ++counts[flat];
-        }
-    });
-    // Serial prefix over (bin, slice): leaves each slice's per-bin
-    // scatter cursor in its histogram slot and the bin offsets in
-    // binStart, matching the serial prefix bin for bin.
-    binStart.resize(nbins + 1);
-    binStart[0] = 0;
-    std::uint32_t running = 0;
-    for (std::size_t b = 0; b < nbins; ++b) {
-        for (std::size_t s = 0; s < nslices; ++s) {
-            const std::uint32_t count = binSliceCount[s * nbins + b];
-            binSliceCount[s * nbins + b] = running;
-            running += count;
-        }
-        binStart[b + 1] = running;
-    }
-    binAtoms.resize(n);
-    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-        std::uint32_t *cursor = binSliceCount.data() + s * nbins;
-        for (std::size_t i = begin; i < end; ++i)
-            binAtoms[cursor[binOf[i]]++] = static_cast<std::uint32_t>(i);
-    });
+    if (b.z != a.z)
+        return b.z > a.z;
+    if (b.y != a.y)
+        return b.y > a.y;
+    return b.x > a.x;
 }
 
 /**
- * W-wide distance test of one bin chunk: bit l of the result is set
+ * W-wide distance test of one run chunk: bit l of the result is set
  * when candidate cand[l] lies within cutSq of xi. The r² expression
  * matches the pair kernels' fma association, which on the generic
  * backend is bitwise `Vec3::normSq` (addition is commutative); ISA
@@ -186,55 +169,45 @@ candidateDistanceMask(const double *xd, const std::uint32_t *cand,
     return (rsq < D(cutSq)).bits();
 }
 
-/** Everything the vectorized row fill reads, hoisted once per build. */
-struct BuildCtx
-{
-    const BinGrid &grid;
-    const std::uint32_t *binStart; ///< CSR bin offsets
-    const std::uint32_t *binAtoms; ///< bin-ordered atom ids (+ pad)
-    const double *sx;              ///< bin-ordered x coordinates (+ pad)
-    const double *sy;              ///< bin-ordered y coordinates (+ pad)
-    const double *sz;              ///< bin-ordered z coordinates (+ pad)
-    const mdbench::Vec3 *x;        ///< positions in atom order
-    std::size_t nlocal;
-    double cutSq;
-};
-
 /**
- * The stencil of atom @p i as contiguous binAtoms runs. flatten() is
- * x-fastest, so the dx = -1..1 triple of every (dy, dz) row is one
+ * The stencil of one atom as contiguous binAtoms runs. flatten() is
+ * x-fastest, so the dx = −2..2 bins of every (dy, dz) row are one
  * dense range of bin ids and therefore one dense range of bin-ordered
- * slots: at most 9 runs instead of 27 bins. Walking a run ascending
- * visits exactly the bins the scalar oracle visits, in its order.
+ * slots: at most 15 runs for the half stencil (dz = 0..2) and 25 for
+ * the full one (dz = −2..2), instead of 75 or 125 bins. Both build
+ * bodies walk the runs in this order, so they visit the same
+ * candidates in the same order.
  */
 struct StencilRuns
 {
-    std::array<std::uint32_t, 9> lo; ///< first binAtoms slot of each run
-    std::array<std::uint32_t, 9> hi; ///< one past the last slot
+    static constexpr int kMaxRuns = (2 * kStencilReach + 1) *
+                                    (2 * kStencilReach + 1);
+    std::array<std::uint32_t, kMaxRuns> lo; ///< first slot of each run
+    std::array<std::uint32_t, kMaxRuns> hi; ///< one past the last slot
     int count = 0;
     std::uint32_t total = 0; ///< candidate slots across all runs
 };
 
+template <bool Full>
 inline StencilRuns
-stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
+stencilRuns(const BinGrid &grid, const std::uint32_t *binStart,
+            const mdbench::Vec3 &xi)
 {
-    const auto bi = c.grid.cellOf(xi);
-    const int *nb = c.grid.nb;
-    const int x0 = std::max(bi[0] - 1, 0);
-    const int x1 = std::min(bi[0] + 1, nb[0] - 1);
+    const auto bi = grid.cellOf(xi);
+    const int *nb = grid.nb;
+    const int x0 = std::max(bi[0] - kStencilReach, 0);
+    const int x1 = std::min(bi[0] + kStencilReach, nb[0] - 1);
+    const int y0 = std::max(bi[1] - kStencilReach, 0);
+    const int y1 = std::min(bi[1] + kStencilReach, nb[1] - 1);
+    const int z0 = Full ? std::max(bi[2] - kStencilReach, 0) : bi[2];
+    const int z1 = std::min(bi[2] + kStencilReach, nb[2] - 1);
+    const std::size_t width = static_cast<std::size_t>(x1 - x0) + 1;
     StencilRuns runs;
-    for (int dz = -1; dz <= 1; ++dz) {
-        const int bz = bi[2] + dz;
-        if (bz < 0 || bz >= nb[2])
-            continue;
-        for (int dy = -1; dy <= 1; ++dy) {
-            const int by = bi[1] + dy;
-            if (by < 0 || by >= nb[1])
-                continue;
-            const std::size_t bin = c.grid.flatten(x0, by, bz);
-            const std::uint32_t beg = c.binStart[bin];
-            const std::uint32_t end =
-                c.binStart[bin + static_cast<std::size_t>(x1 - x0) + 1];
+    for (int bz = z0; bz <= z1; ++bz) {
+        for (int by = y0; by <= y1; ++by) {
+            const std::size_t bin = grid.flatten(x0, by, bz);
+            const std::uint32_t beg = binStart[bin];
+            const std::uint32_t end = binStart[bin + width];
             if (beg == end)
                 continue;
             runs.lo[static_cast<std::size_t>(runs.count)] = beg;
@@ -246,16 +219,30 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
     return runs;
 }
 
+/** Everything a row fill reads, hoisted once per build. */
+struct BuildCtx
+{
+    const BinGrid &grid;
+    const std::uint32_t *binStart; ///< CSR bin offsets
+    const std::uint32_t *binAtoms; ///< bin-ordered atom ids (+ pad)
+    const double *sx;              ///< bin-ordered x (vectorized body)
+    const double *sy;              ///< bin-ordered y (vectorized body)
+    const double *sz;              ///< bin-ordered z (vectorized body)
+    const mdbench::Vec3 *x;        ///< positions in atom order
+    double cutSq;
+};
+
 /**
  * Fully vectorized CSR row fill for atom @p i (the exclusion-free
  * path): every stencil candidate is tested in a W-wide chunk of the
  * bin-ordered staging — contiguous transpose loads, no gathers — and
- * the whole inclusion predicate (distance, half-list index order,
- * ghost coordinate tie-break) is evaluated as lane masks. Accepted
- * lanes append through compressStore in ascending lane order, which is
- * exactly the scalar walk's emit order, so the produced rows are
- * identical to the scalar oracle's (modulo the documented 1-ulp ISA
- * fma contraction at the build cutoff).
+ * the whole inclusion predicate (distance, then the half-list (z, y, x)
+ * ownership rule of lexAfter or the full-list self-exclusion) is
+ * evaluated as lane masks. Accepted lanes append through compressStore
+ * in ascending lane order, which is exactly the scalar walk's emit
+ * order, so the produced rows are identical to the scalar oracle's
+ * (modulo the documented 1-ulp ISA fma contraction at the build
+ * cutoff).
  *
  * Chunks start at each run's first slot and lanes are independent, so
  * the result does not depend on W's chunk phase; lanes past the run
@@ -263,10 +250,8 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
  * end) and are masked off by the lane-index compare before they can
  * contribute.
  *
- * With Fill unset only the accepted count is computed (the threaded
- * two-pass build's first pass). The caller precomputes @p runs — once
- * per row per pass — and charges runs.total to the candidate counter
- * from the pass that runs once.
+ * With Fill unset only the accepted count is computed (the sizing pass
+ * of the first threaded build).
  */
 template <int W, bool Full, bool Fill>
 inline std::uint32_t
@@ -281,7 +266,6 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     const D xiV(xi.x), yiV(xi.y), ziV(xi.z);
     const D cutSqV(c.cutSq);
     const std::uint32_t i32 = static_cast<std::uint32_t>(i);
-    const std::uint32_t nlocal32 = static_cast<std::uint32_t>(c.nlocal);
     std::uint32_t n = 0;
     const auto chunk = [&](std::uint32_t at, int laneMask) {
         const I ids = I::load(c.binAtoms + at);
@@ -298,16 +282,12 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
             // Full list: every in-range candidate except i itself.
             inc = M::fromIndexEQ(ids, i32).andnot(dist);
         } else {
-            // Half list: local pairs once by index order, ghost pairs
-            // once by the z/y/x coordinate tie-break (mirrors the
-            // scalar walk lane for lane, including the ±0.0-safe
-            // equal compares).
-            const M isLocal = M::fromIndexLT(ids, nlocal32);
-            const M idGT = M::fromIndexGT(ids, i32);
-            const M tb = (zj > ziV) |
-                         ((zj == ziV) &
-                          ((yj > yiV) | ((yj == yiV) & (xj >= xiV))));
-            inc = dist & ((isLocal & idGT) | isLocal.andnot(tb));
+            // Half list: lexAfter(xj, xi) lane for lane, with the same
+            // ±0.0-safe equal compares.
+            const M after = (zj > ziV) |
+                            ((zj == ziV) &
+                             ((yj > yiV) | ((yj == yiV) & (xj > xiV))));
+            inc = dist & after;
         }
         const int bits = inc.bits() & laneMask;
         if constexpr (Fill) {
@@ -333,78 +313,315 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     return n;
 }
 
-/**
- * Vectorized CSR build over all owned atoms: serial single-pass append
- * (cursor fill with geometric headroom) or threaded two-pass
- * count/prefix/fill where each row lands in its exact [offsets[i],
- * offsets[i+1]) range — compressStore writes exactly its popcount, so
- * thread-owned rows can abut with no tail slop and the payload is
- * bitwise independent of the thread count.
- */
+/** Row source of the vectorized body (see fillRows). */
 template <int W, bool Full>
-void
-buildRowsSimd(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
-              std::size_t prevCount, std::size_t &candidates)
+struct SimdRows
 {
-    const std::size_t nlocal = ctx.nlocal;
+    const BuildCtx &ctx;
+
+    StencilRuns
+    runs(std::size_t i) const
+    {
+        return stencilRuns<Full>(ctx.grid, ctx.binStart, ctx.x[i]);
+    }
+
+    template <bool Fill>
+    std::uint32_t
+    fill(std::size_t i, const StencilRuns &r, std::uint32_t *dst) const
+    {
+        return fillRowSimd<W, Full, Fill>(ctx, i, r, dst);
+    }
+};
+
+/**
+ * CSR fill shared by both build bodies. @p rows supplies each row's
+ * stencil runs (runs(i), whose total bounds the row length) and the
+ * row itself (fill<true>(i, runs, dst) writes it and returns its
+ * length; fill<false> only counts).
+ *
+ * Serially the rows append at one cursor into the previous payload,
+ * which grows kGrowRows row bounds at a time when it runs out. Threaded,
+ * the fill is a single pass: each slice of the fixed SliceRange
+ * partition owns a contiguous i range and appends into its own region
+ * of list.neighbors, sized from that slice's previous count plus
+ * 1/kRegionHeadroom (the counts come from the previous offsets while
+ * the row count is unchanged, from the previous pairs per row
+ * otherwise, and from an exact counting pass on the first build). A
+ * slice whose next row might not fit appends the rest of its rows to
+ * its own @p spill buffer. A serial pass then slides the regions
+ * together in place, appends the spills and rebases the offsets, so
+ * rows abut exactly, the list never exists twice, and it is bitwise
+ * the serial one at any thread count — compressStore's exact-popcount
+ * contract is what lets rows abut inside a region.
+ */
+/**
+ * The serial fill grows the payload by this many row bounds at a time:
+ * resize() zero-fills, so growing geometrically would make resident
+ * pages the list never uses.
+ */
+constexpr std::size_t kGrowRows = 16;
+
+/** Threaded fill regions hold the previous count plus 1/this. */
+constexpr std::size_t kRegionHeadroom = 16;
+
+template <class Rows>
+void
+fillRows(NeighborList &list, std::size_t nlocal, ThreadPool &pool,
+         const Rows &rows, std::vector<std::uint32_t> *spill,
+         std::size_t &candidates)
+{
+    const std::size_t prevCount = list.neighbors.size();
+    const std::size_t prevRows =
+        list.offsets.empty() ? 0 : list.offsets.size() - 1;
     if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
-        list.neighbors.resize(prevCount + prevCount / 16 + 64);
+        list.offsets.resize(nlocal + 1);
+        list.offsets[0] = 0;
         std::size_t cursor = 0;
         for (std::size_t i = 0; i < nlocal; ++i) {
-            const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
+            const StencilRuns runs = rows.runs(i);
             candidates += runs.total;
             if (list.neighbors.size() < cursor + runs.total) {
-                list.neighbors.resize(std::max(2 * list.neighbors.size(),
-                                               cursor + runs.total));
+                list.neighbors.resize(cursor +
+                                      kGrowRows * std::size_t{runs.total});
             }
-            cursor += fillRowSimd<W, Full, true>(
-                ctx, i, runs, list.neighbors.data() + cursor);
+            cursor += rows.template fill<true>(
+                i, runs, list.neighbors.data() + cursor);
             list.offsets[i + 1] = static_cast<std::uint32_t>(cursor);
         }
         list.neighbors.resize(cursor);
         return;
     }
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                             const StencilRuns runs =
-                                 stencilRuns(ctx, ctx.x[i]);
-                             list.offsets[i + 1] =
-                                 fillRowSimd<W, Full, false>(ctx, i, runs,
-                                                             nullptr);
-                         }
-                     });
-    for (std::size_t i = 0; i < nlocal; ++i)
-        list.offsets[i + 1] += list.offsets[i];
-    list.neighbors.resize(list.offsets[nlocal]);
-    std::array<std::size_t, SliceRange::kMaxSlices> sliceCand{};
+
+    const SliceRange slices(0, nlocal, kNeighborGrain);
+    const std::size_t nslices = static_cast<std::size_t>(slices.count());
+    constexpr std::size_t kMax = SliceRange::kMaxSlices;
+    std::array<std::size_t, kMax> cap{};
+    const bool exact = prevRows == 0;
+    if (!exact) {
+        for (std::size_t s = 0; s < nslices; ++s) {
+            const std::size_t b = slices.begin(static_cast<int>(s));
+            const std::size_t e = slices.end(static_cast<int>(s));
+            cap[s] = prevRows == nlocal
+                         ? list.offsets[e] - list.offsets[b]
+                         : prevCount * (e - b) / prevRows;
+        }
+    } else {
+        pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
+            std::size_t n = 0;
+            for (std::size_t i = begin; i < end; ++i)
+                n += rows.template fill<false>(i, rows.runs(i), nullptr);
+            cap[static_cast<std::size_t>(s)] = n;
+        });
+    }
+    // Region starts. Exact first-build sizes need no headroom, and
+    // their rows cannot overflow (each fill writes exactly its count).
+    std::array<std::size_t, kMax + 1> region{};
+    for (std::size_t s = 0; s < nslices; ++s) {
+        if (!exact)
+            cap[s] += cap[s] / kRegionHeadroom;
+        region[s + 1] = region[s] + cap[s];
+    }
+    list.offsets.resize(nlocal + 1);
+    list.offsets[0] = 0;
+    if (list.neighbors.capacity() < region[nslices]) {
+        // The old payload is dead: free it before allocating, instead of
+        // letting resize() copy it and hold both lists at once.
+        list.neighbors = std::vector<std::uint32_t>();
+        list.neighbors.reserve(region[nslices] + region[nslices] / 8);
+    }
+    list.neighbors.resize(region[nslices]);
+
+    std::array<std::size_t, kMax> kept{};
+    std::array<std::size_t, kMax> spilled{};
+    std::array<std::size_t, kMax> sliceCand{};
     std::uint32_t *nbrs = list.neighbors.data();
-    const std::uint32_t *offs = list.offsets.data();
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int s) {
-                         std::size_t cand = 0;
-                         for (std::size_t i = begin; i < end; ++i) {
-                             const StencilRuns runs =
-                                 stencilRuns(ctx, ctx.x[i]);
-                             cand += runs.total;
-                             fillRowSimd<W, Full, true>(ctx, i, runs,
-                                                        nbrs + offs[i]);
-                         }
-                         sliceCand[static_cast<std::size_t>(s)] += cand;
-                     });
-    for (std::size_t s = 0; s < sliceCand.size(); ++s)
+    std::uint32_t *offs = list.offsets.data();
+    pool.run(slices, [&](std::size_t begin, std::size_t end, int si) {
+        const std::size_t s = static_cast<std::size_t>(si);
+        std::uint32_t *base = nbrs + region[s];
+        std::vector<std::uint32_t> &over = spill[s];
+        std::size_t inRegion = 0;
+        std::size_t inSpill = 0;
+        bool spilling = false;
+        std::size_t cand = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const StencilRuns runs = rows.runs(i);
+            cand += runs.total;
+            spilling = spilling ||
+                       (!exact && inRegion + runs.total > cap[s]);
+            if (!spilling) {
+                inRegion += rows.template fill<true>(i, runs,
+                                                     base + inRegion);
+            } else {
+                if (over.size() < inSpill + runs.total) {
+                    over.resize(
+                        std::max(2 * over.size(), inSpill + runs.total));
+                }
+                inSpill += rows.template fill<true>(i, runs,
+                                                    over.data() + inSpill);
+            }
+            // Slice-relative until the regions are packed below.
+            offs[i + 1] = static_cast<std::uint32_t>(inRegion + inSpill);
+        }
+        kept[s] = inRegion;
+        spilled[s] = inSpill;
+        sliceCand[s] = cand;
+    });
+
+    // Pack: every slice's final start is the running total of the
+    // slices before it. Blocks that move left go in ascending order and
+    // blocks that move right (behind a spill) in descending order, so
+    // no block overwrites one that has not moved yet; spills land last,
+    // in the gaps the moves leave.
+    std::array<std::size_t, kMax + 1> start{};
+    for (std::size_t s = 0; s < nslices; ++s)
+        start[s + 1] = start[s] + kept[s] + spilled[s];
+    const std::size_t total = start[nslices];
+    if (total > list.neighbors.size())
+        list.neighbors.resize(total);
+    nbrs = list.neighbors.data();
+    const auto move = [&](std::size_t s) {
+        std::memmove(nbrs + start[s], nbrs + region[s],
+                     kept[s] * sizeof(std::uint32_t));
+    };
+    for (std::size_t s = 0; s < nslices; ++s) {
+        if (start[s] < region[s])
+            move(s);
+    }
+    for (std::size_t s = nslices; s-- > 0;) {
+        if (start[s] > region[s])
+            move(s);
+    }
+    for (std::size_t s = 0; s < nslices; ++s) {
+        if (spilled[s] > 0) {
+            std::memcpy(nbrs + start[s] + kept[s], spill[s].data(),
+                        spilled[s] * sizeof(std::uint32_t));
+        }
+        const std::uint32_t shift = static_cast<std::uint32_t>(start[s]);
+        const int si = static_cast<int>(s);
+        for (std::size_t i = slices.begin(si); i < slices.end(si); ++i)
+            offs[i + 1] += shift;
         candidates += sliceCand[s];
+    }
+    list.neighbors.resize(total);
+}
+
+/**
+ * Scalar stencil-walk rows: the bitwise oracle (width 1, every
+ * default-build rebuild) and the only body for systems with exclusions
+ * (the exclusion probe is a hash lookup, not mask algebra). Each row
+ * walks the same stencil runs as the vectorized body, tests the
+ * distance first and then the ownership rule (lexAfter for half lists,
+ * j ≠ i for full ones), and finally the exclusions.
+ *
+ * With @p Prefilter a W-wide distance mask screens whole run chunks
+ * first and only passing lanes take the scalar checks, in ascending
+ * lane order, so the emit order is unchanged. It is compiled in only
+ * when a width is active so the width-1 oracle keeps the plain loop
+ * shape — the dead dispatch alone costs ~15% at 500k atoms.
+ */
+template <bool Prefilter>
+struct ScalarRows
+{
+    const BinGrid &grid;
+    const std::uint32_t *binStart;
+    const std::uint32_t *binAtoms;
+    const Vec3 *x;
+    const std::int64_t *tag;
+    const Topology &topology;
+    double cutSq;
+    bool full;
+    bool checkExclusions;
+    int filterW;
+
+    StencilRuns
+    runs(std::size_t i) const
+    {
+        return full ? stencilRuns<true>(grid, binStart, x[i])
+                    : stencilRuns<false>(grid, binStart, x[i]);
+    }
+
+    template <bool Fill>
+    std::uint32_t
+    fill(std::size_t i, const StencilRuns &r, std::uint32_t *dst) const
+    {
+        const Vec3 xi = x[i];
+        std::uint32_t n = 0;
+        // Rules after the distance test, shared by both loops below.
+        const auto keep = [&](std::uint32_t ju, const Vec3 &xj) {
+            if (full ? ju == i : !lexAfter(xj, xi))
+                return;
+            if (checkExclusions && topology.excluded(tag[i], tag[ju]))
+                return;
+            if constexpr (Fill)
+                dst[n] = ju;
+            ++n;
+        };
+        for (int run = 0; run < r.count; ++run) {
+            const std::uint32_t runEnd = r.hi[static_cast<std::size_t>(run)];
+            std::uint32_t idx = r.lo[static_cast<std::size_t>(run)];
+            if constexpr (Prefilter) {
+                static_assert(sizeof(Vec3) == 3 * sizeof(double));
+                const double *xd = reinterpret_cast<const double *>(x);
+                const auto filtered = [&](auto widthTag) {
+                    constexpr int W = decltype(widthTag)::value;
+                    for (; idx + W <= runEnd; idx += W) {
+                        int mask = candidateDistanceMask<W>(
+                            xd, binAtoms + idx, xi, cutSq);
+                        for (; mask; mask &= mask - 1) {
+                            const std::uint32_t ju = binAtoms
+                                [idx + static_cast<std::uint32_t>(
+                                           std::countr_zero(
+                                               static_cast<unsigned>(mask)))];
+                            keep(ju, x[ju]);
+                        }
+                    }
+                };
+                if (filterW == 8)
+                    filtered(std::integral_constant<int, 8>{});
+                else if (filterW == 4)
+                    filtered(std::integral_constant<int, 4>{});
+                else
+                    filtered(std::integral_constant<int, 2>{});
+            }
+            for (; idx < runEnd; ++idx) {
+                const std::uint32_t ju = binAtoms[idx];
+                const Vec3 xj = x[ju];
+                if ((xj - xi).normSq() < cutSq)
+                    keep(ju, xj);
+            }
+        }
+        return n;
+    }
+};
+
+/**
+ * The scalar body, kept out of line and marked noinline for the same
+ * reason Neighbor::buildImpl is: inlined next to the vectorized
+ * staging, it would push gcc's function-size estimate past its
+ * large-function limits and the hot candidate loop would stop being
+ * unrolled (~2x on the serial 500k-atom build).
+ */
+template <bool Prefilter>
+[[gnu::noinline]] void
+buildRowsScalarImpl(const ScalarRows<Prefilter> &rows, NeighborList &list,
+                    std::size_t nlocal, ThreadPool &pool,
+                    std::vector<std::uint32_t> *spill,
+                    std::size_t &candidates)
+{
+    fillRows(list, nlocal, pool, rows, spill, candidates);
 }
 
 /** Width × flavor dispatch for the vectorized build. */
 void
 dispatchBuildRows(int filterW, bool full, NeighborList &list,
-                  const BuildCtx &ctx, ThreadPool &pool,
-                  std::size_t prevCount, std::size_t &candidates)
+                  const BuildCtx &ctx, std::size_t nlocal, ThreadPool &pool,
+                  std::vector<std::uint32_t> *spill, std::size_t &candidates)
 {
     auto run = [&](auto widthTag, auto fullTag) {
-        buildRowsSimd<decltype(widthTag)::value, decltype(fullTag)::value>(
-            list, ctx, pool, prevCount, candidates);
+        const SimdRows<decltype(widthTag)::value, decltype(fullTag)::value>
+            rows{ctx};
+        fillRows(list, nlocal, pool, rows, spill, candidates);
     };
     auto width = [&](auto fullTag) {
         if (filterW == 8)
@@ -418,218 +635,6 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
         width(std::true_type{});
     else
         width(std::false_type{});
-}
-
-/**
- * Scalar stencil-walk build: the bitwise oracle (width knob 1) and
- * the only path for systems with exclusions (the exclusion probe is a
- * hash lookup, not mask algebra). Kept out of line and marked noinline
- * for the same reason Neighbor::buildImpl is: the vectorized staging
- * that now shares buildImpl would push gcc's function-size estimate
- * past its large-function limits and the hot candidate loop here would
- * stop being unrolled (~2x on the serial 500k-atom build). The W-wide
- * distance pre-filter is compiled in only when a width is active
- * (@p Prefilter) so the width-1 oracle keeps the seed's exact loop
- * shape — the dead dispatch alone costs ~15% at 500k atoms.
- */
-template <bool Prefilter>
-[[gnu::noinline]] void
-buildRowsScalarImpl(Simulation &sim, NeighborList &list,
-                    const BinGrid &grid, const std::uint32_t *binStart,
-                    const std::uint32_t *binAtoms, std::size_t nlocal,
-                    double cutSq, bool checkExclusions, int filterW,
-                    ThreadPool &pool, std::size_t prevCount,
-                    std::size_t &candidates)
-{
-    const AtomStore &atoms = sim.atoms;
-    const Vec3 *x = atoms.x.data();
-    static_assert(sizeof(Vec3) == 3 * sizeof(double));
-    [[maybe_unused]] const double *xd =
-        reinterpret_cast<const double *>(x);
-    const bool full = list.full;
-    const int *nb = grid.nb;
-
-    // Stencil walk shared by every fill strategy: emit(j) for each
-    // neighbor of i, in a traversal order that depends only on the
-    // binning (never on threading), so all paths build identical lists.
-    // The W-wide distance pre-filter tests chunks of W candidates at
-    // once and only passing lanes take the scalar inclusion checks (in
-    // ascending-lane order, preserving the emit order exactly — the
-    // index/tie-break/exclusion rules are independent of the distance
-    // test). @p cand, when non-null, accumulates the candidate total
-    // for the build counters (passed only by the pass that runs once).
-    auto visitNeighbors = [&](std::size_t i, auto &&emit,
-                              std::size_t *cand) {
-        const Vec3 xi = x[i];
-        const auto bi = grid.cellOf(xi);
-        // Non-distance inclusion checks for a candidate that already
-        // passed the W-wide distance mask. Mirrors the scalar walk's
-        // rules; only the (pure) check order differs.
-        [[maybe_unused]] auto considerNear = [&](std::size_t ju) {
-            if (ju == i)
-                return;
-            if (!full && ju < nlocal && ju < i)
-                return;
-            if (!full && ju >= nlocal) {
-                const Vec3 xj = x[ju];
-                if (xj.z != xi.z) {
-                    if (xj.z < xi.z)
-                        return;
-                } else if (xj.y != xi.y) {
-                    if (xj.y < xi.y)
-                        return;
-                } else if (xj.x < xi.x) {
-                    return;
-                }
-            }
-            if (checkExclusions &&
-                sim.topology.excluded(atoms.tag[i], atoms.tag[ju]))
-                return;
-            emit(static_cast<std::uint32_t>(ju));
-        };
-        for (int dz = -1; dz <= 1; ++dz) {
-            const int bz = bi[2] + dz;
-            if (bz < 0 || bz >= nb[2])
-                continue;
-            for (int dy = -1; dy <= 1; ++dy) {
-                const int by = bi[1] + dy;
-                if (by < 0 || by >= nb[1])
-                    continue;
-                for (int dx = -1; dx <= 1; ++dx) {
-                    const int bx = bi[0] + dx;
-                    if (bx < 0 || bx >= nb[0])
-                        continue;
-                    const std::size_t bin = grid.flatten(bx, by, bz);
-                    const std::uint32_t binEnd = binStart[bin + 1];
-                    std::uint32_t idx = binStart[bin];
-                    if (cand)
-                        *cand += binEnd - idx;
-                    if constexpr (Prefilter) {
-                        auto filtered = [&](auto widthTag) {
-                            constexpr int W = decltype(widthTag)::value;
-                            for (; idx + W <= binEnd; idx += W) {
-                                int mask = candidateDistanceMask<W>(
-                                    xd, binAtoms + idx, xi, cutSq);
-                                for (; mask; mask &= mask - 1) {
-                                    const int l = std::countr_zero(
-                                        static_cast<unsigned>(mask));
-                                    considerNear(binAtoms[idx + l]);
-                                }
-                            }
-                        };
-                        if (filterW == 8)
-                            filtered(std::integral_constant<int, 8>{});
-                        else if (filterW == 4)
-                            filtered(std::integral_constant<int, 4>{});
-                        else if (filterW == 2)
-                            filtered(std::integral_constant<int, 2>{});
-                    }
-                    for (; idx < binEnd; ++idx) {
-                        const std::size_t ju = binAtoms[idx];
-                        if (ju == i)
-                            continue;
-                        // Half-list inclusion rule (Newton on): local
-                        // pairs once by index order (rejected before
-                        // the position load); pairs with ghosts once by
-                        // a coordinate tie-break, so that of the two
-                        // mirrored boundary pairs exactly one side
-                        // stores it.
-                        if (!full && ju < nlocal && ju < i)
-                            continue;
-                        // One load serves both the ghost tie-break and
-                        // the distance check below.
-                        const Vec3 xj = x[ju];
-                        if (!full && ju >= nlocal) {
-                            if (xj.z != xi.z) {
-                                if (xj.z < xi.z)
-                                    continue;
-                            } else if (xj.y != xi.y) {
-                                if (xj.y < xi.y)
-                                    continue;
-                            } else if (xj.x < xi.x) {
-                                continue;
-                            }
-                        }
-                        if ((xj - xi).normSq() >= cutSq)
-                            continue;
-                        if (checkExclusions &&
-                            sim.topology.excluded(atoms.tag[i],
-                                                  atoms.tag[ju])) {
-                            continue;
-                        }
-                        emit(static_cast<std::uint32_t>(ju));
-                    }
-                }
-            }
-        }
-    };
-
-    if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
-        // Serial single-pass fill. Sizing the payload from the previous
-        // build (plus slack for density fluctuations) makes the first
-        // fill after a rebuild allocation-free in steady state.
-        list.neighbors.clear();
-        list.neighbors.reserve(prevCount + prevCount / 16 + 64);
-        for (std::size_t i = 0; i < nlocal; ++i) {
-            visitNeighbors(i, [&](std::uint32_t ju) {
-                list.neighbors.push_back(ju);
-            }, &candidates);
-            list.offsets[i + 1] =
-                static_cast<std::uint32_t>(list.neighbors.size());
-        }
-        return;
-    }
-    // Two-pass count-then-fill: after the exclusive prefix sum each
-    // thread writes the disjoint range [offsets[i], offsets[i+1]),
-    // so the fill needs no synchronization.
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                             std::uint32_t count = 0;
-                             visitNeighbors(i, [&](std::uint32_t) {
-                                 ++count;
-                             }, nullptr);
-                             list.offsets[i + 1] = count;
-                         }
-                     });
-    for (std::size_t i = 0; i < nlocal; ++i)
-        list.offsets[i + 1] += list.offsets[i];
-    list.neighbors.resize(list.offsets[nlocal]);
-    std::array<std::size_t, SliceRange::kMaxSlices> sliceCand{};
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int s) {
-                         std::size_t cand = 0;
-                         for (std::size_t i = begin; i < end; ++i) {
-                             std::uint32_t cursor = list.offsets[i];
-                             visitNeighbors(i, [&](std::uint32_t ju) {
-                                 list.neighbors[cursor++] = ju;
-                             }, &cand);
-                         }
-                         sliceCand[static_cast<std::size_t>(s)] +=
-                             cand;
-                     });
-    for (std::size_t s = 0; s < sliceCand.size(); ++s)
-        candidates += sliceCand[s];
-}
-
-/** Prefilter on/off dispatch for the scalar walk. */
-void
-buildRowsScalar(Simulation &sim, NeighborList &list, const BinGrid &grid,
-                const std::uint32_t *binStart,
-                const std::uint32_t *binAtoms, std::size_t nlocal,
-                double cutSq, bool checkExclusions, int filterW,
-                ThreadPool &pool, std::size_t prevCount,
-                std::size_t &candidates)
-{
-    if (filterW >= 2) {
-        buildRowsScalarImpl<true>(sim, list, grid, binStart, binAtoms,
-                                  nlocal, cutSq, checkExclusions, filterW,
-                                  pool, prevCount, candidates);
-    } else {
-        buildRowsScalarImpl<false>(sim, list, grid, binStart, binAtoms,
-                                   nlocal, cutSq, checkExclusions, filterW,
-                                   pool, prevCount, candidates);
-    }
 }
 
 } // namespace
@@ -716,13 +721,8 @@ Neighbor::buildImpl(Simulation &sim)
 
     // Bin the extended domain (box plus a ghost shell of one cutoff).
     const BinGrid grid = makeBinGrid(box, cut);
-    if (pool.size() > 1 && nall >= 4 * kNeighborGrain) {
-        countingSortBinsParallel(grid, atoms.x.data(), nall, pool, binOf_,
-                                 binStart_, binSliceCount_, binAtoms_);
-    } else {
-        countingSortBins(grid, atoms.x.data(), nall, binOf_, binStart_,
-                         binCursor_, binAtoms_);
-    }
+    countingSortBins(grid, atoms.x.data(), nall, binOf_, binStart_,
+                     binCursor_, binAtoms_);
     // Readable (masked-off) slots past the last bin for whole-chunk
     // loads; zero ids point at a real record but never pass the
     // lane-validity mask.
@@ -731,9 +731,10 @@ Neighbor::buildImpl(Simulation &sim)
     const bool checkExclusions = !sim.topology.bonds.empty() ||
                                  !sim.topology.angles.empty();
 
+    // The fill sizes its payload from the previous list's offsets, so
+    // they are replaced only inside fillRows.
     list_.full = full;
     list_.buildCutoff = cut;
-    list_.offsets.assign(nlocal + 1, 0);
 
     // Raw pointers into the bin structures: the fill loops below append
     // to a member vector, so indexing the members directly would force
@@ -743,8 +744,8 @@ Neighbor::buildImpl(Simulation &sim)
     const Vec3 *x = atoms.x.data();
 
     // W-wide candidate filter width: the dominant cost of the bin walk
-    // is the per-candidate r² check. Width 1 keeps the original
-    // scalar walk below as the bitwise oracle.
+    // is the per-candidate r² check. Width 1 keeps the scalar walk as
+    // the bitwise oracle.
     const int filterW = [] {
         const int dw = simdWidthFor(false);
         if (dw >= 8)
@@ -754,14 +755,14 @@ Neighbor::buildImpl(Simulation &sim)
         return dw == 2 ? 2 : 0;
     }();
     std::size_t candidates = 0;
-    const bool vectorized = filterW >= 2 && !checkExclusions && nlocal > 0;
-    if (vectorized) {
+    spill_.resize(SliceRange::kMaxSlices);
+    TraceScope filterTrace("neigh", "build_filter");
+    if (filterW >= 2 && !checkExclusions && nlocal > 0) {
         // Fully vectorized build: candidate coordinates are staged once
         // in bin order as three SoA runs, so the per-run chunks are
         // plain contiguous vector loads and accepted lanes compress
         // straight into the CSR rows. The three arrays share one
         // aligned allocation (records() hands out 4 doubles per slot).
-        TraceScope filterTrace("neigh", "build_filter");
         const std::size_t stride = nall + kSimdPad;
         double *sx = buildStage_.records(stride);
         double *sy = sx + stride;
@@ -780,17 +781,24 @@ Neighbor::buildImpl(Simulation &sim)
             sy[k] = 0.0;
             sz[k] = 0.0;
         }
-        const BuildCtx ctx{grid, binStart, binAtoms, sx,
-                           sy,   sz,       x,        nlocal, cutSq};
-        dispatchBuildRows(filterW, full, list_, ctx, pool,
-                          prevNeighborCount_, candidates);
+        const BuildCtx ctx{grid, binStart, binAtoms, sx, sy, sz, x, cutSq};
+        dispatchBuildRows(filterW, full, list_, ctx, nlocal, pool,
+                          spill_.data(), candidates);
+    } else if (filterW >= 2) {
+        const ScalarRows<true> rows{grid,  binStart, binAtoms,
+                                    x,     atoms.tag.data(),
+                                    sim.topology, cutSq, full,
+                                    checkExclusions, filterW};
+        buildRowsScalarImpl(rows, list_, nlocal, pool, spill_.data(),
+                            candidates);
     } else {
-        TraceScope filterTrace("neigh", "build_filter");
-        buildRowsScalar(sim, list_, grid, binStart, binAtoms, nlocal,
-                        cutSq, checkExclusions, filterW, pool,
-                        prevNeighborCount_, candidates);
+        const ScalarRows<false> rows{grid,  binStart, binAtoms,
+                                     x,     atoms.tag.data(),
+                                     sim.topology, cutSq, full,
+                                     checkExclusions, filterW};
+        buildRowsScalarImpl(rows, list_, nlocal, pool, spill_.data(),
+                            candidates);
     }
-    prevNeighborCount_ = list_.neighbors.size();
     counterAdd(Counter::NeighBuilds);
     counterAdd(Counter::NeighPairs, list_.neighbors.size());
     counterAdd(Counter::NeighBuildCandidates, candidates);
@@ -951,9 +959,10 @@ Neighbor::computeSortOrder(const Simulation &sim,
     const AtomStore &atoms = sim.atoms;
     const double cut = cutoff + skin;
     require(cut > 0.0, "sort order needs a positive neighbor cutoff");
-    // Same grid as the next build, restricted to the owned atoms: the
-    // neighbor ids of spatially close atoms become close indices, so
-    // the pair-kernel x[j] gathers walk the position array nearly
+    // The build's half-cutoff grid (LAMMPS's default sort bin size is
+    // also half the neighbor cutoff), restricted to the owned atoms:
+    // the neighbor ids of spatially close atoms become close indices,
+    // so the pair-kernel x[j] gathers walk the position array nearly
     // monotonically (LAMMPS `atom_modify sort` / MD-Bench layout).
     const BinGrid grid = makeBinGrid(sim.box, cut);
     countingSortBins(grid, atoms.x.data(), atoms.nlocal(), binOf_,

@@ -261,8 +261,8 @@ class Neighbor
     std::vector<std::uint32_t> binCursor_; ///< scatter cursors (scratch)
     std::vector<std::uint32_t> binAtoms_;  ///< atoms grouped by bin
 
-    /** Per-(slice, bin) histograms for the parallel counting sort. */
-    std::vector<std::uint32_t> binSliceCount_;
+    /** Per-slice overflow rows of the threaded fill (kMaxSlices). */
+    std::vector<std::vector<std::uint32_t>> spill_;
 
     /** Bin-ordered [x, y, z, 0] records staged for the SIMD filter. */
     XPack<double> buildStage_;
@@ -270,9 +270,6 @@ class Neighbor
     /** Knob values the current packing was built with. */
     int packedWidth_ = 0;
     Precision packedTier_ = Precision::Double;
-
-    /** Payload size of the previous build (sizes the serial reserve). */
-    std::size_t prevNeighborCount_ = 0;
 
     long buildsSinceSort_ = 0;
     long sortCount_ = 0;

@@ -379,30 +379,10 @@ struct SimdMask
         return r;
     }
 
-    // Index-domain compares lifted into this element type's mask
-    // domain (the neighbor build combines id rules with coordinate
-    // tie-breaks in one vector predicate). Indices are atom ids and
-    // always < 2^31, so the ISA backends may compare signed.
-
-    /** Lane l set when idx[l] < s. */
-    static SimdMask
-    fromIndexLT(const SimdIndex<W> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = idx.lane(l) < s;
-        return r;
-    }
-
-    /** Lane l set when idx[l] > s. */
-    static SimdMask
-    fromIndexGT(const SimdIndex<W> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = idx.lane(l) > s;
-        return r;
-    }
+    // Index-domain compare lifted into this element type's mask domain
+    // (the full-list neighbor build masks out i itself with it).
+    // Indices are atom ids and always < 2^31, so the ISA backends may
+    // compare signed.
 
     /** Lane l set when idx[l] == s. */
     static SimdMask
@@ -957,29 +937,9 @@ struct SimdMask<double, 4>
         return r;
     }
 
-    // 32-bit id compares widened to double-lane masks (sign-extending
+    // 32-bit id compare widened to a double-lane mask (sign-extending
     // the 0/-1 compare result to 64 bits; ids are < 2^31, so the
-    // signed epi32 compares agree with the generic unsigned rule).
-
-    static SimdMask
-    fromIndexLT(const SimdIndex<4> &idx, std::uint32_t s)
-    {
-        const __m128i cmp =
-            _mm_cmplt_epi32(idx.v, _mm_set1_epi32(static_cast<int>(s)));
-        SimdMask r;
-        r.m = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(cmp));
-        return r;
-    }
-
-    static SimdMask
-    fromIndexGT(const SimdIndex<4> &idx, std::uint32_t s)
-    {
-        const __m128i cmp =
-            _mm_cmpgt_epi32(idx.v, _mm_set1_epi32(static_cast<int>(s)));
-        SimdMask r;
-        r.m = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(cmp));
-        return r;
-    }
+    // signed epi32 compare agrees with the generic unsigned rule).
 
     static SimdMask
     fromIndexEQ(const SimdIndex<4> &idx, std::uint32_t s)
@@ -1405,25 +1365,7 @@ struct SimdMask<float, 8>
         return r;
     }
 
-    // Index-domain compares (ids < 2^31, so signed epi32 compare is safe).
-    static SimdMask
-    fromIndexLT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            _mm256_set1_epi32(static_cast<int>(s)), idx.v));
-        return r;
-    }
-
-    static SimdMask
-    fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            idx.v, _mm256_set1_epi32(static_cast<int>(s))));
-        return r;
-    }
-
+    // Index-domain compare (ids < 2^31, so signed epi32 compare is safe).
     static SimdMask
     fromIndexEQ(const SimdIndex<8> &idx, std::uint32_t s)
     {
@@ -1767,26 +1709,8 @@ struct SimdMask<double, 8>
         return r;
     }
 
-    // Index-domain compares, widened to 64-bit so the 8 id lanes line
-    // up with the 8 double lanes.
-    static SimdMask
-    fromIndexLT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
-                                    _mm512_set1_epi64(s), _MM_CMPINT_LT);
-        return r;
-    }
-
-    static SimdMask
-    fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
-                                    _mm512_set1_epi64(s), _MM_CMPINT_NLE);
-        return r;
-    }
-
+    // Index-domain compare, widened to 64-bit so the 8 id lanes line up
+    // with the 8 double lanes.
     static SimdMask
     fromIndexEQ(const SimdIndex<8> &idx, std::uint32_t s)
     {
@@ -2125,25 +2049,7 @@ struct SimdMask<float, 16>
         return r;
     }
 
-    // Index-domain compares (lane counts already match at 32 bits).
-    static SimdMask
-    fromIndexLT(const SimdIndex<16> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu32_mask(
-            idx.v, _mm512_set1_epi32(static_cast<int>(s)), _MM_CMPINT_LT);
-        return r;
-    }
-
-    static SimdMask
-    fromIndexGT(const SimdIndex<16> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu32_mask(
-            idx.v, _mm512_set1_epi32(static_cast<int>(s)), _MM_CMPINT_NLE);
-        return r;
-    }
-
+    // Index-domain compare (lane counts already match at 32 bits).
     static SimdMask
     fromIndexEQ(const SimdIndex<16> &idx, std::uint32_t s)
     {

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <numbers>
 #include <set>
 #include <utility>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "md/velocity.h"
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
+#include "obs/counters.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 namespace {
@@ -186,6 +190,145 @@ TEST(Neighbor, GhostCountScalesWithSurface)
     EXPECT_NEAR(static_cast<double>(sim.atoms.nghost()) /
                     static_cast<double>(sim.atoms.nlocal()),
                 ratio, 0.35 * ratio);
+}
+
+/**
+ * Build the list of @p sim twice (the second build sizes its payload
+ * from the first, the steady-state path) at the given knobs and check
+ * it against brute force: a half list holds every pair within the
+ * build cutoff once, a full list twice.
+ */
+void
+expectListMatchesBruteForce(Simulation &sim, bool full)
+{
+    const double cut = sim.neighbor.cutoff + sim.neighbor.skin;
+    sim.neighbor.full = full;
+    sim.comm->exchange(sim);
+    sim.comm->borders(sim);
+    sim.neighbor.build(sim);
+    sim.neighbor.build(sim);
+    const auto brute = bruteForcePairs(sim, cut);
+    ASSERT_FALSE(brute.empty());
+    const auto stored = halfListPairs(sim); // every stored entry
+    if (!full) {
+        EXPECT_EQ(stored, brute);
+        return;
+    }
+    EXPECT_EQ(stored.size(), 2 * brute.size());
+    for (const auto &pair : brute)
+        EXPECT_EQ(stored.count(pair), 2u) << pair.first << "," << pair.second;
+}
+
+TEST(Neighbor, OwnershipRuleExactOnLatticesAndOddBoxes)
+{
+    // Random positions never tie, so they never exercise the (z, y, x)
+    // ownership rule past its first compare. An fcc lattice has whole
+    // planes of equal z and rows of equal y; with a = 2 and a build
+    // cutoff of 2, the bins are exactly 1 wide and every lattice plane
+    // lies on a bin face. The other cases use box sides that are no
+    // multiple of the bin size, one of them non-cubic.
+    struct Case
+    {
+        const char *name;
+        std::function<void(Simulation &)> make;
+        double cutoff;
+        double skin;
+    };
+    const std::vector<Case> cases = {
+        {"fcc on bin faces",
+         [](Simulation &sim) { buildFcc(sim, 6, 6, 6, 2.0); }, 2.0, 0.0},
+        {"fcc second shell",
+         [](Simulation &sim) { buildFcc(sim, 6, 6, 6, 2.0); }, 1.9, 0.35},
+        {"fcc non-cubic",
+         [](Simulation &sim) { buildFcc(sim, 5, 6, 7, 1.6796); }, 1.75,
+         0.3},
+        {"random non-cubic",
+         [](Simulation &sim) {
+             sim.box = Box({0, 0, 0}, {7.3, 6.1, 8.7});
+             sim.atoms.setNumTypes(1);
+             Rng rng(99);
+             for (int i = 0; i < 600; ++i)
+                 sim.atoms.addAtom(i + 1, 1,
+                                   {rng.uniform(0, 7.3), rng.uniform(0, 6.1),
+                                    rng.uniform(0, 8.7)});
+         },
+         1.7, 0.25},
+    };
+    const int before = ThreadPool::threads();
+    for (const Case &c : cases) {
+        for (const bool full : {false, true}) {
+            for (const int threads : {1, 4}) {
+                for (const int width : {1, 4}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << c.name << " full=" << full
+                                 << " threads=" << threads
+                                 << " width=" << width);
+                    ThreadPool::setThreads(threads);
+                    setSimdWidth(width);
+                    Simulation sim;
+                    c.make(sim);
+                    ASSERT_GE(sim.atoms.nlocal(), 256u); // threaded fill
+                    sim.neighbor.cutoff = c.cutoff;
+                    sim.neighbor.skin = c.skin;
+                    expectListMatchesBruteForce(sim, full);
+                    setSimdWidth(-1);
+                }
+            }
+        }
+    }
+    ThreadPool::setThreads(before);
+}
+
+TEST(Neighbor, HalfStencilKeepsCandidateRatioLow)
+{
+    // Timing-free guard on the build's cost: candidates examined per
+    // stored pair. A 27-bin stencil over bins at least cutoff + skin
+    // wide examines at least 27 cut³ per (2π/3) cut³ of stored half
+    // list on a uniform system, so no such build gets below this
+    // bound; the half stencil over half-cutoff bins does.
+    resetCounters();
+    auto sim = buildLJ(10);
+    sim->thermoEvery = 0;
+    sim->setup();
+    const double candidates =
+        static_cast<double>(counterValue(Counter::NeighBuildCandidates));
+    const double accepted =
+        static_cast<double>(counterValue(Counter::NeighBuildAccepted));
+    ASSERT_GT(accepted, 0.0);
+    EXPECT_LT(candidates / accepted, 27.0 / (2.0 * std::numbers::pi / 3.0));
+    resetCounters();
+}
+
+TEST(Neighbor, OverflowingSliceRegionsSpillIntoExactRows)
+{
+    // The threaded fill sizes each slice's region from the previous
+    // build. Growing the skin between builds overflows every region;
+    // the spilled rows must still land exactly where a fresh serial
+    // build puts them.
+    auto listAt = [](int threads, bool regrow) {
+        ThreadPool::setThreads(threads);
+        Simulation sim;
+        randomSystem(sim, 1500, 9.0, 4242);
+        sim.neighbor.cutoff = 1.2;
+        sim.neighbor.skin = regrow ? 0.0 : 0.6;
+        sim.comm->exchange(sim);
+        sim.comm->borders(sim);
+        sim.neighbor.build(sim);
+        if (regrow) {
+            sim.neighbor.skin = 0.6;
+            sim.comm->borders(sim);
+            sim.neighbor.build(sim);
+        }
+        return std::make_pair(sim.neighbor.list().offsets,
+                              sim.neighbor.list().neighbors);
+    };
+    const int before = ThreadPool::threads();
+    const auto reference = listAt(1, false);
+    for (const int threads : {2, 4, 8}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(listAt(threads, true), reference);
+    }
+    ThreadPool::setThreads(before);
 }
 
 /** offsets+neighbors of a fresh build at the given knobs. */

@@ -209,5 +209,30 @@ TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
     ThreadPool::setThreads(before);
 }
 
+TEST(ThreadDeterminism, ExclusionNeighborBuildListsAreThreadInvariant)
+{
+    // Bonded systems build through the scalar walk on every rebuild.
+    // After setup() the rebuilds take the single-pass threaded fill,
+    // whose slice regions are sized from the previous build: the lists
+    // must still be bitwise identical at any thread count.
+    const int before = ThreadPool::threads();
+    auto listsAt = [](int nthreads) {
+        ThreadPool::setThreads(nthreads);
+        auto sim = buildChain(10);
+        sim->thermoEvery = 0;
+        sim->setup();
+        sim->run(300);
+        EXPECT_GT(sim->neighbor.buildCount(), 2);
+        const NeighborList &list = sim->neighbor.list();
+        return std::make_pair(list.offsets, list.neighbors);
+    };
+    const auto reference = listsAt(1);
+    for (int nthreads : {2, 4, 8, 16}) {
+        SCOPED_TRACE(nthreads);
+        EXPECT_EQ(listsAt(nthreads), reference);
+    }
+    ThreadPool::setThreads(before);
+}
+
 } // namespace
 } // namespace mdbench
